@@ -14,6 +14,7 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/pb"
@@ -309,10 +310,11 @@ func BenchmarkEnsemblePredict(b *testing.B) {
 		b.Fatal(err)
 	}
 	probe := enc.EncodeIndex(9999, nil)
+	out := make([]float64, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ens.Predict(probe)
+		ens.PredictOutputBatchKernel(0, probe, 1, out, ann.KernelExact)
 	}
 	b.Logf("one prediction replaces one %d-instruction simulation", benchTrace)
 }
@@ -373,10 +375,10 @@ func BenchmarkTrainEnsemble(b *testing.B) {
 }
 
 // BenchmarkPredictBatch measures scoring a large candidate pool — the
-// SelectVariance / full-space-sweep hot path — through the per-point
-// Predict loop versus the batched PredictBatch kernel. One benchmark
-// iteration scores the whole pool, so ns/op is directly comparable
-// across sub-benchmarks.
+// SelectVariance / full-space-sweep hot path — as one rows=1 kernel
+// call per point versus one batched call over the whole pool. One
+// benchmark iteration scores the whole pool, so ns/op is directly
+// comparable across sub-benchmarks.
 func BenchmarkPredictBatch(b *testing.B) {
 	st := studies.Processor()
 	x, y := benchTrainingSet(st, 150)
@@ -390,20 +392,17 @@ func BenchmarkPredictBatch(b *testing.B) {
 	const rows = 4096
 	enc := newEncoder(st)
 	width := enc.Width()
-	points := make([][]float64, rows)
 	flat := make([]float64, rows*width)
 	for i := 0; i < rows; i++ {
-		idx := (i * 257) % st.Space.Size()
-		points[i] = enc.EncodeIndex(idx, nil)
-		copy(flat[i*width:(i+1)*width], points[i])
+		enc.EncodeIndex((i*257)%st.Space.Size(), flat[i*width:(i+1)*width])
 	}
 	out := make([]float64, rows)
 
-	b.Run("per-point", func(b *testing.B) {
+	b.Run("rows=1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < rows; r++ {
-				out[r] = ens.Predict(points[r])
+				ens.PredictOutputBatchKernel(0, flat[r*width:(r+1)*width], 1, out[r:r+1], ann.KernelExact)
 			}
 		}
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
@@ -412,7 +411,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 		ens.SetWorkers(1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ens.PredictBatch(flat, rows, out)
+			ens.PredictOutputBatchKernel(0, flat, rows, out, ann.KernelExact)
 		}
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})
@@ -420,7 +419,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 		ens.SetWorkers(0) // GOMAXPROCS
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ens.PredictBatch(flat, rows, out)
+			ens.PredictOutputBatchKernel(0, flat, rows, out, ann.KernelExact)
 		}
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})

@@ -7,11 +7,11 @@
 //	repro -exp fig5.1 -apps mesa,mcf
 //	repro -exp fig5.4 -scale standard
 //
-// Scales: quick (minutes), standard (paper-style batches, the default),
-// full (paper-faithful sweep incl. full-space evaluation; budget
-// accordingly). Output is the paper's rows/series plus ASCII renderings
-// of each figure. See EXPERIMENTS.md for recorded paper-vs-measured
-// comparisons.
+// Scales: quick (minutes, the default), standard (paper-style
+// batches), full (paper-faithful sweep incl. full-space evaluation;
+// budget accordingly). Output is the paper's rows/series plus ASCII
+// renderings of each figure, printed for side-by-side comparison with
+// the paper; no measured numbers are checked in.
 package main
 
 import (

@@ -58,11 +58,14 @@ func main() {
 		idx int
 		ipc float64
 	}
+	all := make([]int, sp.Size())
+	for i := range all {
+		all[i] = i
+	}
+	ipcs := ens.PredictIndices(enc, all)
 	preds := make([]scored, sp.Size())
-	x := make([]float64, enc.Width())
-	for i := 0; i < sp.Size(); i++ {
-		enc.EncodeIndex(i, x)
-		preds[i] = scored{i, ens.Predict(x)}
+	for i, ipc := range ipcs {
+		preds[i] = scored{i, ipc}
 	}
 	sort.Slice(preds, func(a, b int) bool { return preds[a].ipc > preds[b].ipc })
 
@@ -87,8 +90,7 @@ func main() {
 	choices := sp.Choices(best.idx)
 	for l2 := 0; l2 < 4; l2++ {
 		choices[4] = l2 // L2 size axis
-		enc.Encode(choices, x)
-		fmt.Printf("  L2 %4.0fKB → predicted IPC %.3f\n", sp.Value(choices, 4), ens.Predict(x))
+		fmt.Printf("  L2 %4.0fKB → predicted IPC %.3f\n", sp.Value(choices, 4), ipcs[sp.Index(choices)])
 	}
 
 	// Write-policy split: compare the best WT and best WB points.

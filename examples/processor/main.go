@@ -17,6 +17,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/studies"
@@ -64,7 +65,11 @@ func main() {
 	fmt.Println("\nmulti-task predictions vs simulation on three unseen points:")
 	enc := ex.Encoder()
 	for _, idx := range []int{137, 9999, 20000} {
-		pred := ens.PredictAll(enc.EncodeIndex(idx, nil))
+		x := enc.EncodeIndex(idx, nil)
+		pred := make([]float64, ens.Outputs())
+		for o := range pred {
+			pred[o] = ens.PredictOutputBatchKernel(o, x, 1, nil, ann.KernelExact)[0]
+		}
 		r, err := oracle.Result(idx)
 		if err != nil {
 			log.Fatal(err)

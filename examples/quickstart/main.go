@@ -80,10 +80,8 @@ func main() {
 	}
 	enc := ex.Encoder()
 	var errs []float64
-	x := make([]float64, enc.Width())
-	for i, idx := range evalIdx {
-		enc.EncodeIndex(idx, x)
-		pred := ens.Predict(x)
+	preds := ens.PredictIndices(enc, evalIdx)
+	for i, pred := range preds {
 		errs = append(errs, 100*abs(pred-truth[i])/truth[i])
 	}
 	mean, sd := stats.MeanStd(errs)
@@ -96,7 +94,7 @@ func main() {
 	fmt.Println("\nsample predictions (unseen configurations):")
 	for i := 0; i < 5 && i < len(evalIdx); i++ {
 		fmt.Printf("  point %5d: predicted IPC %.4f, simulated IPC %.4f (%.2f%% error)\n",
-			evalIdx[i], ens.PredictAll(enc.EncodeIndex(evalIdx[i], nil))[0], truth[i], errs[i])
+			evalIdx[i], preds[i], truth[i], errs[i])
 	}
 }
 

@@ -85,8 +85,7 @@ func main() {
 	}
 	enc := ex.Encoder()
 	var errs []float64
-	for i, idx := range evalIdx {
-		pred := ens.Predict(enc.EncodeIndex(idx, nil))
+	for i, pred := range ens.PredictIndices(enc, evalIdx) {
 		errs = append(errs, 100*abs(pred-truth[i])/truth[i])
 	}
 	mean, sd := stats.MeanStd(errs)

@@ -68,7 +68,7 @@ func TestEndToEndExploration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred := ens.Predict(enc.EncodeIndex(i, nil))
+		pred := ens.PredictIndices(enc, []int{i})[0]
 		errSum += math.Abs(pred-truth[0]) / truth[0] * 100
 		count++
 	}
@@ -90,8 +90,7 @@ func TestEndToEndExploration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := enc.EncodeIndex(999, nil)
-	if loaded.Predict(probe) != ens.Predict(probe) {
+	if loaded.PredictIndices(enc, []int{999})[0] != ens.PredictIndices(enc, []int{999})[0] {
 		t.Fatal("persisted model predicts differently")
 	}
 
@@ -121,7 +120,7 @@ func TestDeterministicPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc := encoding.NewEncoder(st.Space)
-		return ens.Estimate(), ens.Predict(enc.EncodeIndex(4242, nil))
+		return ens.Estimate(), ens.PredictIndices(enc, []int{4242})[0]
 	}
 	estA, predA := run()
 	estB, predB := run()

@@ -17,6 +17,12 @@ func smallConfig(in, out int) Config {
 	}
 }
 
+// predict returns a copy of the per-example forward output, so two
+// calls can be compared.
+func predict(n *Network, x []float64) []float64 {
+	return append([]float64(nil), n.forward(x)...)
+}
+
 func TestConfigValidation(t *testing.T) {
 	// Each rejection must name the offending field (the repo-wide
 	// errfield convention), so a misconfiguration points at the knob
@@ -62,8 +68,8 @@ func TestPaperConfig(t *testing.T) {
 func TestForwardDeterministic(t *testing.T) {
 	n := New(smallConfig(3, 2))
 	x := []float64{0.1, 0.5, 0.9}
-	a := n.Predict(x)
-	b := n.Predict(x)
+	a := predict(n, x)
+	b := predict(n, x)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("forward pass not deterministic")
@@ -76,8 +82,8 @@ func TestInitialWeightsSmall(t *testing.T) {
 	cfg.InitRange = 0.01
 	n := New(cfg)
 	// With near-zero weights the network starts as (almost) a constant.
-	out1 := n.Predict([]float64{0, 0, 0, 0})[0]
-	out2 := n.Predict([]float64{1, 1, 1, 1})[0]
+	out1 := n.forward([]float64{0, 0, 0, 0})[0]
+	out2 := n.forward([]float64{1, 1, 1, 1})[0]
 	if math.Abs(out1-out2) > 0.05 {
 		t.Fatalf("freshly initialized net is already nonlinear: %v vs %v", out1, out2)
 	}
@@ -97,7 +103,7 @@ func TestGradientCheck(t *testing.T) {
 	target := []float64{0.25, -0.5}
 
 	loss := func() float64 {
-		out := n.Forward(x)
+		out := n.forward(x)
 		var se float64
 		for j := range out {
 			e := out[j] - target[j]
@@ -142,7 +148,7 @@ func TestLearnsLinearFunction(t *testing.T) {
 	var worst float64
 	for i := 0; i < 50; i++ {
 		a, b := rng.Float64(), rng.Float64()
-		got := n.Forward([]float64{a, b})[0]
+		got := n.forward([]float64{a, b})[0]
 		want := 0.3*a + 0.5*b
 		if d := math.Abs(got - want); d > worst {
 			worst = d
@@ -167,7 +173,7 @@ func TestLearnsXOR(t *testing.T) {
 		n.Train([]float64{d[0], d[1]}, []float64{d[2]}, 0.5)
 	}
 	for _, d := range data {
-		got := n.Forward([]float64{d[0], d[1]})[0]
+		got := n.forward([]float64{d[0], d[1]})[0]
 		if math.Abs(got-d[2]) > 0.25 {
 			t.Fatalf("XOR(%v,%v) = %v, want %v", d[0], d[1], got, d[2])
 		}
@@ -190,7 +196,7 @@ func TestMomentumAcceleratesConvergence(t *testing.T) {
 		var se float64
 		for i := 0; i < 100; i++ {
 			x := float64(i) / 100
-			e := n.Forward([]float64{x})[0] - 0.8*x
+			e := n.forward([]float64{x})[0] - 0.8*x
 			se += e * e
 		}
 		return se
@@ -205,16 +211,16 @@ func TestMomentumAcceleratesConvergence(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	n := New(smallConfig(2, 1))
 	x := []float64{0.2, 0.7}
-	before := n.Predict(x)[0]
+	before := n.forward(x)[0]
 	snap := n.Snapshot()
 	for i := 0; i < 100; i++ {
 		n.Train(x, []float64{1}, 0.5)
 	}
-	if n.Predict(x)[0] == before {
+	if n.forward(x)[0] == before {
 		t.Fatal("training had no effect")
 	}
 	n.Restore(snap)
-	if got := n.Predict(x)[0]; got != before {
+	if got := n.forward(x)[0]; got != before {
 		t.Fatalf("restore did not recover weights: %v vs %v", got, before)
 	}
 }
@@ -223,13 +229,13 @@ func TestCloneIndependent(t *testing.T) {
 	n := New(smallConfig(2, 1))
 	c := n.Clone()
 	x := []float64{0.4, 0.6}
-	if n.Predict(x)[0] != c.Predict(x)[0] {
+	if n.forward(x)[0] != c.forward(x)[0] {
 		t.Fatal("clone predicts differently")
 	}
 	for i := 0; i < 50; i++ {
 		c.Train(x, []float64{1}, 0.5)
 	}
-	if n.Predict(x)[0] == c.Predict(x)[0] {
+	if n.forward(x)[0] == c.forward(x)[0] {
 		t.Fatal("training the clone affected the original")
 	}
 }
@@ -275,7 +281,7 @@ func TestForwardPanicsOnWrongInputLen(t *testing.T) {
 			t.Fatal("wrong input length did not panic")
 		}
 	}()
-	n.Forward([]float64{1, 2})
+	n.forward([]float64{1, 2})
 }
 
 func TestTrainPanicsOnWrongTargetLen(t *testing.T) {
@@ -290,7 +296,7 @@ func TestTrainPanicsOnWrongTargetLen(t *testing.T) {
 
 func TestMultiOutput(t *testing.T) {
 	n := New(smallConfig(2, 3))
-	out := n.Predict([]float64{0.5, 0.5})
+	out := n.forward([]float64{0.5, 0.5})
 	if len(out) != 3 {
 		t.Fatalf("multi-output net returned %d values", len(out))
 	}
@@ -300,7 +306,7 @@ func TestMultiOutput(t *testing.T) {
 		n.Train([]float64{a, b}, []float64{a, b, (a + b) / 2}, 0.1)
 	}
 	a, b := 0.3, 0.9
-	got := n.Forward([]float64{a, b})
+	got := n.forward([]float64{a, b})
 	for i, want := range []float64{a, b, (a + b) / 2} {
 		if math.Abs(got[i]-want) > 0.08 {
 			t.Fatalf("output %d = %v, want ≈%v", i, got[i], want)

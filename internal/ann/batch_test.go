@@ -23,9 +23,10 @@ func randomNetwork(t *testing.T, rng *stats.RNG, inputs int, hidden []int, outpu
 
 // TestForwardBatchMatchesForward is the batched-prediction parity
 // property: over random networks of varying shape and activation,
-// ForwardBatch output for every row matches the per-point Forward
-// within 1e-12 (the kernels are written to be bit-identical; the
-// tolerance guards the property, not the implementation).
+// exact-tier ForwardBatch output for every row matches the per-example
+// forward pass within 1e-12 (the kernels are written to be
+// bit-identical; the tolerance guards the property, not the
+// implementation).
 func TestForwardBatchMatchesForward(t *testing.T) {
 	rng := stats.NewRNG(0xBA7C4)
 	shapes := []struct {
@@ -52,9 +53,9 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 			for i := range xs {
 				xs[i] = rng.Range(-1, 2)
 			}
-			got := n.ForwardBatch(xs, rows, scratch)
+			got := n.ForwardBatch(xs, rows, scratch, KernelExact)
 			for r := 0; r < rows; r++ {
-				want := n.Forward(xs[r*sh.in : (r+1)*sh.in])
+				want := n.forward(xs[r*sh.in : (r+1)*sh.in])
 				for o := 0; o < sh.out; o++ {
 					g, w := got[r*sh.out+o], want[o]
 					if math.Abs(g-w) > 1e-12*(1+math.Abs(w)) {
@@ -72,7 +73,7 @@ func TestForwardBatchNilScratch(t *testing.T) {
 	rng := stats.NewRNG(1)
 	n := randomNetwork(t, rng, 4, []int{8}, 2, Sigmoid, Linear)
 	xs := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
-	got := n.ForwardBatch(xs, 2, nil)
+	got := n.ForwardBatch(xs, 2, nil, KernelExact)
 	if len(got) != 4 {
 		t.Fatalf("2 rows × 2 outputs should give 4 values, got %d", len(got))
 	}
@@ -130,7 +131,7 @@ func TestTrainBatchGradient(t *testing.T) {
 
 	// Batch loss: mean over rows of Σ(o−t)²/2.
 	loss := func() float64 {
-		out := n.ForwardBatch(xs, rows, nil)
+		out := n.ForwardBatch(xs, rows, nil, KernelExact)
 		var se float64
 		for k, o := range out {
 			e := o - ys[k]
@@ -194,7 +195,7 @@ func TestTrainBatchLearnsLinearFunction(t *testing.T) {
 	var worst float64
 	for i := 0; i < 50; i++ {
 		a, b := rng.Float64(), rng.Float64()
-		got := n.Forward([]float64{a, b})[0]
+		got := n.forward([]float64{a, b})[0]
 		if d := math.Abs(got - (0.3*a + 0.5*b)); d > worst {
 			worst = d
 		}

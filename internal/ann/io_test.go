@@ -21,8 +21,8 @@ func TestNetworkSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, x := range [][]float64{{0, 0, 0}, {1, 1, 1}, {0.2, 0.4, 0.6}} {
-		a := n.Predict(x)
-		b := loaded.Predict(x)
+		a := predict(n, x)
+		b := predict(loaded, x)
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("loaded net predicts %v, original %v at %v", b, a, x)
@@ -47,13 +47,36 @@ func TestLoadedNetworkTrainsOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := loaded.Predict([]float64{0.5})[0]
+	before := loaded.forward([]float64{0.5})[0]
 	for i := 0; i < 500; i++ {
 		loaded.Train([]float64{0.5}, []float64{0.9}, 0.2)
 	}
-	after := loaded.Predict([]float64{0.5})[0]
+	after := loaded.forward([]float64{0.5})[0]
 	if after == before {
 		t.Fatal("loaded network did not train")
+	}
+}
+
+// TestLoadAcceptsRetiredKernelField: networks saved while Config still
+// carried a per-network kernel tier load and predict unchanged, since
+// the tier is now a per-call argument and the field is ignored.
+func TestLoadAcceptsRetiredKernelField(t *testing.T) {
+	n := New(smallConfig(2, 1))
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(buf.String(), `"config":{`, `"config":{"Kernel":"fast32",`, 1)
+	if old == buf.String() {
+		t.Fatal("saved document has no config object to patch")
+	}
+	loaded, err := Load(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.3, 0.8}
+	if got, want := loaded.forward(x)[0], n.forward(x)[0]; got != want {
+		t.Fatalf("loaded network predicts %v, original %v", got, want)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 //
 // KernelExact is the bit-identical reference path: plain IEEE-754
 // multiply-add accumulation and library transcendentals, the same
-// operations in the same order as the per-point Forward. Training,
-// checkpoints, and every pre-existing parity gate run exclusively on
-// this tier.
+// operations in the same order as the per-example forward pass.
+// Training, checkpoints, and every pre-existing parity gate run
+// exclusively on this tier.
 //
 // KernelFast keeps the exact tier's float64 accumulation — the same
 // blocked multiply-add loops producing the same pre-activation bits —
@@ -139,11 +139,19 @@ func (n *Network) FastErrorBounds() (fast, fast32 float64) {
 	return dFast + 1e-9, 2 * (dFast32 + eps32*mag)
 }
 
-// ForwardBatchKernel is ForwardBatch with an explicit kernel tier. The
-// mode is a per-call argument rather than network state so concurrent
-// callers (e.g. a server answering exact and fast32 sweeps at once) can
-// share one network with private Scratches.
-func (n *Network) ForwardBatchKernel(xs []float64, rows int, s *Scratch, mode KernelMode) []float64 {
+// ForwardBatch runs rows examples through the network in one pass on
+// the given kernel tier. xs is a flat row-major matrix (rows × Inputs);
+// the returned slice is the flat rows × Outputs activation matrix,
+// owned by s and overwritten by its next use. Passing a nil scratch
+// allocates a private one.
+//
+// On KernelExact, outputs are bit-identical to the per-example forward
+// pass on each row: the batched kernel only reorders independent
+// examples, never the floating-point operations within one example.
+// The mode is a per-call argument rather than network state so
+// concurrent callers (e.g. a server answering exact and fast32 sweeps
+// at once) can share one network with private Scratches.
+func (n *Network) ForwardBatch(xs []float64, rows int, s *Scratch, mode KernelMode) []float64 {
 	if rows < 0 || len(xs) != rows*n.cfg.Inputs {
 		panic(fmt.Sprintf("ann: batch of %d values is not %d rows × %d inputs", len(xs), rows, n.cfg.Inputs))
 	}

@@ -43,15 +43,18 @@ func TestKernelModeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKernelExactDelegation pins that mode KernelExact through the
-// kernel entry point is bit-identical to the plain ForwardBatch path.
+// TestKernelExactDelegation pins that ForwardBatch on KernelExact is
+// bit-identical to the per-example forward pass Train runs, row by row.
 func TestKernelExactDelegation(t *testing.T) {
 	n, xs, rows := kernelTestNet(t, Sigmoid)
-	a := n.ForwardBatch(xs, rows, NewScratch())
-	b := n.ForwardBatchKernel(xs, rows, NewScratch(), KernelExact)
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			t.Fatalf("exact kernel diverged from ForwardBatch at %d: %g vs %g", i, a[i], b[i])
+	in, outW := n.cfg.Inputs, n.cfg.Outputs
+	got := n.ForwardBatch(xs, rows, NewScratch(), KernelExact)
+	for r := 0; r < rows; r++ {
+		want := n.forward(xs[r*in : (r+1)*in])
+		for o, w := range want {
+			if g := got[r*outW+o]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("row %d output %d: exact kernel %g, per-example forward %g", r, o, g, w)
+			}
 		}
 	}
 }
@@ -63,12 +66,12 @@ func TestFastKernelsWithinBound(t *testing.T) {
 	for _, act := range []Activation{Sigmoid, Tanh} {
 		n, xs, rows := kernelTestNet(t, act)
 		boundFast, boundFast32 := n.FastErrorBounds()
-		exact := append([]float64(nil), n.ForwardBatchKernel(xs, rows, NewScratch(), KernelExact)...)
+		exact := append([]float64(nil), n.ForwardBatch(xs, rows, NewScratch(), KernelExact)...)
 		for _, tc := range []struct {
 			mode  KernelMode
 			bound float64
 		}{{KernelFast, boundFast}, {KernelFast32, boundFast32}} {
-			got := n.ForwardBatchKernel(xs, rows, NewScratch(), tc.mode)
+			got := n.ForwardBatch(xs, rows, NewScratch(), tc.mode)
 			worst := 0.0
 			for i := range exact {
 				d := math.Abs(got[i] - exact[i])
@@ -92,7 +95,7 @@ func TestKernelBatchSplitBitIdentity(t *testing.T) {
 	n, xs, rows := kernelTestNet(t, Sigmoid)
 	outW := n.cfg.Outputs
 	for _, mode := range []KernelMode{KernelExact, KernelFast, KernelFast32} {
-		whole := append([]float64(nil), n.ForwardBatchKernel(xs, rows, NewScratch(), mode)...)
+		whole := append([]float64(nil), n.ForwardBatch(xs, rows, NewScratch(), mode)...)
 		for _, chunk := range []int{1, 3, 4, 17, 64, 1000} {
 			s := NewScratch()
 			got := make([]float64, 0, rows*outW)
@@ -101,7 +104,7 @@ func TestKernelBatchSplitBitIdentity(t *testing.T) {
 				if end > rows {
 					end = rows
 				}
-				out := n.ForwardBatchKernel(xs[r*n.cfg.Inputs:end*n.cfg.Inputs], end-r, s, mode)
+				out := n.ForwardBatch(xs[r*n.cfg.Inputs:end*n.cfg.Inputs], end-r, s, mode)
 				got = append(got, out[:(end-r)*outW]...)
 			}
 			for i := range whole {
@@ -124,7 +127,7 @@ func TestKernelBatchSplitBitIdentity(t *testing.T) {
 func TestKernelVectorScalarParity(t *testing.T) {
 	for _, act := range []Activation{Sigmoid, Tanh} {
 		n, xs, rows := kernelTestNet(t, act)
-		got := n.ForwardBatchKernel(xs, rows, NewScratch(), KernelFast32)
+		got := n.ForwardBatch(xs, rows, NewScratch(), KernelFast32)
 
 		// Portable reference: per-call float32 rounding of weights and
 		// inputs, then the scalar blocked loops for every layer.
@@ -147,42 +150,6 @@ func TestKernelVectorScalarParity(t *testing.T) {
 				t.Fatalf("%s: fast32 output %d: vector path %x, portable path %x",
 					act, i, math.Float64bits(got[i]), math.Float64bits(float64(v)))
 			}
-		}
-	}
-}
-
-// TestTrainingIgnoresKernelConfig pins that a fast Config.Kernel never
-// leaks into training: weights after training are bit-identical to the
-// exact-configured network's.
-func TestTrainingIgnoresKernelConfig(t *testing.T) {
-	build := func(mode KernelMode) *Network {
-		cfg := Config{
-			Inputs: 4, Hidden: []int{8}, Outputs: 1,
-			HiddenAct: Sigmoid, OutputAct: Linear,
-			LearningRate: 0.01, Momentum: 0.5, InitRange: 0.1, Seed: 7,
-			Kernel: mode,
-		}
-		n := New(cfg)
-		rng := stats.NewRNG(1)
-		const rows = 32
-		xs := make([]float64, rows*4)
-		ys := make([]float64, rows)
-		for i := range xs {
-			xs[i] = rng.Float64()
-		}
-		for i := range ys {
-			ys[i] = xs[i*4] + 0.5*xs[i*4+1]
-		}
-		s := NewScratch()
-		for epoch := 0; epoch < 20; epoch++ {
-			n.TrainBatch(xs, ys, rows, 0.01, s)
-		}
-		return n
-	}
-	a, b := build(KernelExact), build(KernelFast32)
-	for i := range a.w {
-		if math.Float64bits(a.w[i]) != math.Float64bits(b.w[i]) {
-			t.Fatalf("training diverged under fast32 config at weight %d: %g vs %g", i, a.w[i], b.w[i])
 		}
 	}
 }

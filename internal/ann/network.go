@@ -8,8 +8,8 @@
 //
 // All weights of a network live in one contiguous []float64 (layer
 // after layer, row-major within a layer), and the batched entry points
-// in batch.go — ForwardBatch, TrainBatch and the Scratch buffers they
-// reuse — run many examples through that flat layout at once. This is
+// — ForwardBatch (kernel.go), TrainBatch and the Scratch buffers they
+// reuse (batch.go) — run many examples through that flat layout at once. This is
 // the compute core the rest of the repository leans on: the ensemble's
 // candidate-pool scoring and full-space sweeps go through ForwardBatch
 // rather than per-point calls.
@@ -127,12 +127,6 @@ type Config struct {
 	Momentum     float64 // α in Equation 3.2
 	InitRange    float64 // weights start uniform on [-InitRange, +InitRange]
 	Seed         uint64
-
-	// Kernel selects the default ForwardBatch tier (see KernelMode).
-	// The zero value is KernelExact, so existing configs, checkpoints
-	// and parity gates are untouched. Training ignores this and always
-	// runs exact.
-	Kernel KernelMode
 }
 
 // PaperConfig returns the exact hyperparameters of §3.1: one hidden
@@ -269,14 +263,13 @@ func (l *layer) forward(x []float64) []float64 {
 	return l.output
 }
 
-// Forward runs one example through the network and returns the output
-// activations. The returned slice is scratch owned by the network and
-// is overwritten by the next call; copy it if it must survive. Because
-// it writes the network-owned per-example buffers it is NOT safe for
-// concurrent use on a shared network — concurrent callers must go
-// through ForwardBatch with private Scratches, which is also
-// substantially faster for scoring many points.
-func (n *Network) Forward(x []float64) []float64 {
+// forward runs one example through the network and returns the output
+// activations: the per-example pass Train backpropagates through. The
+// returned slice is scratch owned by the network and is overwritten by
+// the next call. Because it writes the network-owned buffers it is NOT
+// safe for concurrent use; scoring goes through ForwardBatch with
+// private Scratches instead.
+func (n *Network) forward(x []float64) []float64 {
 	if len(x) != n.cfg.Inputs {
 		panic(fmt.Sprintf("ann: got %d inputs, network has %d", len(x), n.cfg.Inputs))
 	}
@@ -287,14 +280,6 @@ func (n *Network) Forward(x []float64) []float64 {
 	return h
 }
 
-// Predict returns a freshly allocated copy of the network output for x.
-func (n *Network) Predict(x []float64) []float64 {
-	out := n.Forward(x)
-	cp := make([]float64, len(out))
-	copy(cp, out)
-	return cp
-}
-
 // Train performs one stochastic gradient-descent step on a single
 // example with the given learning rate, backpropagating the squared
 // error between the network output and target (Equations 3.1 and 3.2).
@@ -303,7 +288,7 @@ func (n *Network) Train(x, target []float64, lr float64) float64 {
 	if len(target) != n.cfg.Outputs {
 		panic(fmt.Sprintf("ann: got %d targets, network has %d outputs", len(target), n.cfg.Outputs))
 	}
-	out := n.Forward(x)
+	out := n.forward(x)
 
 	// Output-layer deltas: δ = (o - t) · f'(o).
 	last := n.layers[len(n.layers)-1]

@@ -153,8 +153,8 @@ type TrainResult struct {
 // of output 0 back to the actual target range.
 //
 // Both sets are packed into flat matrices once up front; the
-// early-stopping evaluation runs through ForwardBatch with a reused
-// scratch, so the per-epoch monitoring allocates nothing.
+// early-stopping evaluation runs through the exact batched kernel with
+// a reused scratch, so the per-epoch monitoring allocates nothing.
 func TrainEarlyStopping(n *Network, train, es *Dataset, un Unscaler, opts TrainOpts) (TrainResult, error) {
 	if train.Len() == 0 {
 		return TrainResult{}, fmt.Errorf("ann: empty training set")
@@ -268,7 +268,7 @@ func TrainEarlyStopping(n *Network, train, es *Dataset, un Unscaler, opts TrainO
 }
 
 // meanPercentErrorPacked is the batched early-stopping evaluation: one
-// ForwardBatch over the whole set, then the same skip-zero percentage
+// exact batched forward pass over the whole set, then the same skip-zero percentage
 // accumulation as MeanPercentError, in row order.
 func meanPercentErrorPacked(n *Network, p *packed, un Unscaler, s *Scratch) float64 {
 	if p.n == 0 {
@@ -306,7 +306,7 @@ func MeanPercentError(n *Network, ds *Dataset, un Unscaler) float64 {
 // network on ds (primary target only).
 func PercentErrors(n *Network, ds *Dataset, un Unscaler) []float64 {
 	p := packDataset(ds, n.cfg.Inputs, n.cfg.Outputs)
-	preds := n.ForwardBatch(p.x, p.n, nil)
+	preds := n.forwardBatchExact(p.x, p.n, nil)
 	out := make([]float64, 0, p.n)
 	for i := 0; i < p.n; i++ {
 		if p.raw[i] == 0 {

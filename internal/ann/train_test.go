@@ -140,7 +140,7 @@ func TestWeightedPresentationFavorsSmallTargets(t *testing.T) {
 		var sum float64
 		count := 0
 		for i := 0; i < ds.Len(); i += 2 {
-			pred := n.Forward(ds.X[i])[0]
+			pred := n.forward(ds.X[i])[0]
 			sum += math.Abs(pred-ds.Raw[i]) / ds.Raw[i] * 100
 			count++
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/space"
@@ -99,19 +100,11 @@ func TestBundleRoundTripBitIdentical(t *testing.T) {
 	if loaded.Ensemble.Estimate() != b.Ensemble.Estimate() {
 		t.Fatal("CV estimate not preserved")
 	}
-	want := b.Ensemble.PredictBatch(xs, rows, nil)
-	got := loaded.Ensemble.PredictBatch(xs, rows, nil)
+	want := b.Ensemble.PredictOutputBatchKernel(0, xs, rows, nil, ann.KernelExact)
+	got := loaded.Ensemble.PredictOutputBatchKernel(0, xs, rows, nil, ann.KernelExact)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: reloaded model predicts %v, original %v", i, got[i], want[i])
-		}
-	}
-	// Per-point parity on a few rows for good measure.
-	w := b.Encoder.Width()
-	for i := 0; i < 5; i++ {
-		x := xs[i*w : (i+1)*w]
-		if loaded.Ensemble.Predict(x) != b.Ensemble.Predict(x) {
-			t.Fatalf("per-point prediction diverged on row %d", i)
 		}
 	}
 }

@@ -232,12 +232,15 @@ func TestClusterMixedModeKernelSweep(t *testing.T) {
 // failingNode wraps a serve handler so shard requests start failing
 // after the first `healthy` of them — a node dying mid-sweep. mode
 // "500" answers errors; mode "abort" severs the connection like a
-// crashed process.
-func failingNode(healthy int64, mode string) (func(http.Handler) http.Handler, *atomic.Int64) {
+// crashed process. onFail, when non-nil, runs before each failure.
+func failingNode(healthy int64, mode string, onFail func()) (func(http.Handler) http.Handler, *atomic.Int64) {
 	var calls atomic.Int64
 	return func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/sweep/shard" && calls.Add(1) > healthy {
+				if onFail != nil {
+					onFail()
+				}
 				if mode == "abort" {
 					panic(http.ErrAbortHandler)
 				}
@@ -250,15 +253,41 @@ func failingNode(healthy int64, mode string) (func(http.Handler) http.Handler, *
 	}, &calls
 }
 
+// holdAfterFirst wraps a healthy node so it serves its first shard and
+// then holds every later one until release is closed. Healthy nodes
+// therefore cannot drain the shard queue before the flaky node has
+// failed, whatever the goroutine schedule.
+func holdAfterFirst(release <-chan struct{}) func(http.Handler) http.Handler {
+	var calls atomic.Int64
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/sweep/shard" && calls.Add(1) > 1 {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+}
+
 // TestClusterSurvivesNodeFailure kills one of three nodes mid-sweep —
 // both failure styles — and requires the retried, redistributed
-// result to stay byte-identical to the single-process run.
+// result to stay byte-identical to the single-process run. The two
+// healthy nodes hold their second shard until the flaky node has
+// failed once, so the failure path runs on every schedule.
 func TestClusterSurvivesNodeFailure(t *testing.T) {
 	want := canonJSON(t, localRun(t, 5, 8))
 	for _, mode := range []string{"500", "abort"} {
-		mw, calls := failingNode(1, mode)
+		failed := make(chan struct{})
+		var once sync.Once
+		release := func() { once.Do(func() { close(failed) }) }
+		mw, calls := failingNode(1, mode, release)
 		flaky := newNode(t, mw)
-		nodes := []string{newNode(t, nil).URL, flaky.URL, newNode(t, nil).URL}
+		nodes := []string{newNode(t, holdAfterFirst(failed)).URL, flaky.URL, newNode(t, holdAfterFirst(failed)).URL}
+		t.Cleanup(release) // runs before the nodes close: never strand a held shard
 		coord, err := New(Config{
 			Nodes:        nodes,
 			Request:      serve.SweepRequest{Model: "synth", TopK: 5, Chunk: 8},
@@ -288,7 +317,7 @@ func TestClusterSurvivesNodeFailure(t *testing.T) {
 // the healthy ones.
 func TestClusterProbeDropsBrokenNode(t *testing.T) {
 	want := canonJSON(t, localRun(t, 5, 8))
-	mw, _ := failingNode(0, "500") // fails every shard, including the probe
+	mw, _ := failingNode(0, "500", nil) // fails every shard, including the probe
 	coord, err := New(Config{
 		Nodes:       []string{newNode(t, mw).URL, newNode(t, nil).URL},
 		Request:     serve.SweepRequest{Model: "synth", TopK: 5, Chunk: 8},
@@ -311,8 +340,8 @@ func TestClusterProbeDropsBrokenNode(t *testing.T) {
 // TestClusterAllNodesFail: when no node can run shards, the sweep
 // fails with an error instead of hanging.
 func TestClusterAllNodesFail(t *testing.T) {
-	mwA, _ := failingNode(0, "500")
-	mwB, _ := failingNode(0, "500")
+	mwA, _ := failingNode(0, "500", nil)
+	mwB, _ := failingNode(0, "500", nil)
 	coord, err := New(Config{
 		Nodes:        []string{newNode(t, mwA).URL, newNode(t, mwB).URL},
 		Request:      serve.SweepRequest{Model: "synth"},

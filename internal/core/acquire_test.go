@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/stats"
 )
 
@@ -245,7 +246,7 @@ func TestAcquireConstraintsPreferFeasible(t *testing.T) {
 		for i, idx := range idxs {
 			enc.EncodeIndex(idx, xs[i*width:(i+1)*width])
 		}
-		mean, _ := ens.PredictOutputVarianceBatch(0, xs, len(idxs), nil, nil)
+		mean, _ := ens.PredictOutputVarianceBatchKernel(0, xs, len(idxs), nil, nil, ann.KernelExact)
 		return mean
 	}
 	all := make([]int, sp.Size())

@@ -4,13 +4,15 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/stats"
 )
 
 // TestConcurrentPredictSharedEnsemble shares one trained ensemble across
-// many goroutines calling the per-point prediction paths. Run under
-// `go test -race` this proves the paths never touch network-owned
-// scratch; the value checks prove concurrency changes no bits.
+// many goroutines making single-row mean and variance calls. Run under
+// `go test -race` this proves the scoring path never touches
+// network-owned scratch; the value checks prove concurrency changes no
+// bits.
 func TestConcurrentPredictSharedEnsemble(t *testing.T) {
 	cfg := fastModel()
 	cfg.Train.MaxEpochs = 80
@@ -20,10 +22,9 @@ func TestConcurrentPredictSharedEnsemble(t *testing.T) {
 	// Sequential golden values.
 	wantMean := make([]float64, len(probes))
 	wantVar := make([]float64, len(probes))
-	wantAll := make([][]float64, len(probes))
 	for i, x := range probes {
-		wantMean[i], wantVar[i] = ens.PredictVariance(x)
-		wantAll[i] = ens.PredictAll(x)
+		m, v := ens.PredictOutputVarianceBatchKernel(0, x, 1, nil, nil, ann.KernelExact)
+		wantMean[i], wantVar[i] = m[0], v[0]
 	}
 
 	const goroutines = 8
@@ -33,22 +34,16 @@ func TestConcurrentPredictSharedEnsemble(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			mean, variance := make([]float64, 1), make([]float64, 1)
 			for i, x := range probes {
-				if p := ens.Predict(x); p != wantMean[i] {
-					errs <- "Predict diverged under concurrency"
+				if p := predictOne(ens, x); p != wantMean[i] {
+					errs <- "mean-only call diverged under concurrency"
 					return
 				}
-				m, v := ens.PredictVariance(x)
-				if m != wantMean[i] || v != wantVar[i] {
-					errs <- "PredictVariance diverged under concurrency"
+				ens.PredictOutputVarianceBatchKernel(0, x, 1, mean, variance, ann.KernelExact)
+				if mean[0] != wantMean[i] || variance[0] != wantVar[i] {
+					errs <- "variance call diverged under concurrency"
 					return
-				}
-				all := ens.PredictAll(x)
-				for o := range all {
-					if all[o] != wantAll[i][o] {
-						errs <- "PredictAll diverged under concurrency"
-						return
-					}
 				}
 			}
 		}(g)
@@ -60,7 +55,7 @@ func TestConcurrentPredictSharedEnsemble(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchAndPointPredict mixes batched and per-point calls
+// TestConcurrentBatchAndPointPredict mixes batched and single-row calls
 // on one shared ensemble, the serving layer's actual access pattern
 // (coalesced batches racing ad-hoc single-point queries).
 func TestConcurrentBatchAndPointPredict(t *testing.T) {
@@ -69,7 +64,7 @@ func TestConcurrentBatchAndPointPredict(t *testing.T) {
 	cfg.Train.Patience = 15
 	ens, probes := trainSynthEnsemble(t, cfg, 9)
 	xs, rows := flatten(probes)
-	want := ens.PredictBatch(xs, rows, nil)
+	want := ens.PredictOutputBatchKernel(0, xs, rows, nil, ann.KernelExact)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 4)
@@ -77,10 +72,10 @@ func TestConcurrentBatchAndPointPredict(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			got := ens.PredictBatch(xs, rows, nil)
+			got := ens.PredictOutputBatchKernel(0, xs, rows, nil, ann.KernelExact)
 			for i := range got {
 				if got[i] != want[i] {
-					errs <- "PredictBatch diverged under concurrency"
+					errs <- "batched call diverged under concurrency"
 					return
 				}
 			}
@@ -88,8 +83,8 @@ func TestConcurrentBatchAndPointPredict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, x := range probes {
-				if p := ens.Predict(x); p != want[i] {
-					errs <- "Predict disagreed with PredictBatch under concurrency"
+				if p := predictOne(ens, x); p != want[i] {
+					errs <- "single-row call disagreed with the batch under concurrency"
 					return
 				}
 			}

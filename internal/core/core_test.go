@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
@@ -114,10 +115,13 @@ func TestTrainEnsembleAccuracyOnSmoothFunction(t *testing.T) {
 		t.Fatalf("ensemble shape: %d members, %d outputs", ens.Members(), ens.Outputs())
 	}
 	// True error on the rest of the space.
+	all := make([]int, sp.Size())
+	for idx := range all {
+		all[idx] = idx
+	}
 	var errs []float64
-	for idx := 0; idx < sp.Size(); idx++ {
+	for idx, pred := range ens.PredictIndices(enc, all) {
 		truth := synthTarget(sp, idx)
-		pred := ens.Predict(enc.EncodeIndex(idx, nil))
 		errs = append(errs, math.Abs(pred-truth)/truth*100)
 	}
 	mean := stats.Mean(errs)
@@ -169,12 +173,12 @@ func TestPredictVariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, variance := ens.PredictVariance(x[0])
-	if variance < 0 {
-		t.Fatalf("negative variance %v", variance)
+	mean, variance := ens.PredictOutputVarianceBatchKernel(0, x[0], 1, nil, nil, ann.KernelExact)
+	if variance[0] < 0 {
+		t.Fatalf("negative variance %v", variance[0])
 	}
-	if math.Abs(mean-ens.Predict(x[0])) > 1e-9 {
-		t.Fatalf("PredictVariance mean %v != Predict %v", mean, ens.Predict(x[0]))
+	if p := predictOne(ens, x[0]); math.Abs(mean[0]-p) > 1e-9 {
+		t.Fatalf("variance-call mean %v != mean-only prediction %v", mean[0], p)
 	}
 }
 
@@ -197,9 +201,9 @@ func TestMultiTargetEnsemble(t *testing.T) {
 	if ens.Outputs() != 3 {
 		t.Fatalf("outputs = %d", ens.Outputs())
 	}
-	out := ens.PredictAll(x[0])
-	if len(out) != 3 {
-		t.Fatalf("PredictAll returned %d values", len(out))
+	out := make([]float64, ens.Outputs())
+	for o := range out {
+		out[o] = ens.PredictOutputBatchKernel(o, x[0], 1, nil, ann.KernelExact)[0]
 	}
 	// Auxiliary predictions should track their definitions loosely.
 	if math.Abs(out[1]-out[0]*0.5) > 0.2*out[0] {
@@ -229,7 +233,7 @@ func TestLogTargetHandlesWideRange(t *testing.T) {
 		}
 		var errs []float64
 		for i := range x {
-			p := ens.Predict(x[i])
+			p := predictOne(ens, x[i])
 			errs = append(errs, math.Abs(p-y[i][0])/y[i][0]*100)
 		}
 		return stats.Mean(errs)
@@ -284,7 +288,7 @@ func TestEnsembleDeterministicGivenSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Predict(x[0]) != b.Predict(x[0]) {
+	if predictOne(a, x[0]) != predictOne(b, x[0]) {
 		t.Fatal("same-seed ensembles predict differently")
 	}
 	if a.Estimate() != b.Estimate() {

@@ -244,59 +244,3 @@ func (e *Ensemble) Outputs() int { return e.outputs }
 // Estimate returns the cross-validation accuracy estimate computed at
 // training time.
 func (e *Ensemble) Estimate() Estimate { return e.est }
-
-// Predict returns the ensemble's primary-target prediction for an
-// encoded design point: the average of all members, de-normalized
-// (§3.3 step 8). It is safe to call concurrently on a shared ensemble:
-// every member runs through the batched kernel with a pooled per-call
-// Scratch, never through the network-owned per-example buffers.
-func (e *Ensemble) Predict(x []float64) float64 {
-	ps := getPredictScratch(len(e.nets))
-	defer predictPool.Put(ps)
-	var sum float64
-	for _, n := range e.nets {
-		out := n.ForwardBatch(x, 1, ps.s)
-		sum += e.untransform(e.scalers[0].Unscale(out[0]))
-	}
-	return sum / float64(len(e.nets))
-}
-
-// PredictAll returns the ensemble's prediction for every output metric.
-// Like Predict, it is safe for concurrent use on a shared ensemble.
-func (e *Ensemble) PredictAll(x []float64) []float64 {
-	ps := getPredictScratch(len(e.nets))
-	defer predictPool.Put(ps)
-	acc := make([]float64, e.outputs)
-	for _, n := range e.nets {
-		out := n.ForwardBatch(x, 1, ps.s)
-		for o := range acc {
-			acc[o] += e.untransform(e.scalers[o].Unscale(out[o]))
-		}
-	}
-	for o := range acc {
-		acc[o] /= float64(len(e.nets))
-	}
-	return acc
-}
-
-// PredictVariance returns the ensemble's primary prediction together
-// with the variance of the member predictions (in de-normalized units),
-// the disagreement signal active learning queries by (Chapter 7).
-// Safe for concurrent use on a shared ensemble.
-func (e *Ensemble) PredictVariance(x []float64) (mean, variance float64) {
-	ps := getPredictScratch(len(e.nets))
-	defer predictPool.Put(ps)
-	preds := ps.preds[:len(e.nets)]
-	var sum float64
-	for i, n := range e.nets {
-		preds[i] = e.untransform(e.scalers[0].Unscale(n.ForwardBatch(x, 1, ps.s)[0]))
-		sum += preds[i]
-	}
-	mean = sum / float64(len(preds))
-	var ss float64
-	for _, p := range preds {
-		d := p - mean
-		ss += d * d
-	}
-	return mean, ss / float64(len(preds))
-}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/stats"
 )
 
@@ -52,7 +53,7 @@ func TestEnsembleSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal("estimate not preserved")
 	}
 	for _, xi := range x[:10] {
-		if got, want := loaded.Predict(xi), ens.Predict(xi); got != want {
+		if got, want := predictOne(loaded, xi), predictOne(ens, xi); got != want {
 			t.Fatalf("loaded ensemble predicts %v, original %v", got, want)
 		}
 	}
@@ -68,10 +69,10 @@ func TestEnsembleSaveLoadMultiOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ens.PredictAll(x[0])
-	b := loaded.PredictAll(x[0])
-	for o := range a {
-		if a[o] != b[o] {
+	for o := 0; o < ens.Outputs(); o++ {
+		a := ens.PredictOutputBatchKernel(o, x[0], 1, nil, ann.KernelExact)[0]
+		b := loaded.PredictOutputBatchKernel(o, x[0], 1, nil, ann.KernelExact)[0]
+		if a != b {
 			t.Fatalf("output %d differs after round trip", o)
 		}
 	}

@@ -40,19 +40,42 @@ func kernelTestEnsemble(t *testing.T, logT bool) (*Ensemble, []float64, int) {
 	return ens, xs, rows
 }
 
-// memberExact computes each member's exact prediction for every row —
-// the reference the bound propagation measures spread against.
+// memberExact computes each member's exact prediction for every row on
+// one output column, straight from the networks and scalers — the
+// reference the kernel parity and bound tests measure against.
 // preds[m*rows+r] is member m's raw-space prediction for row r.
-func memberExact(e *Ensemble, xs []float64, rows int) []float64 {
+func memberExact(e *Ensemble, output int, xs []float64, rows int) []float64 {
 	preds := make([]float64, len(e.nets)*rows)
 	s := ann.NewScratch()
 	for m, n := range e.nets {
-		out := n.ForwardBatchKernel(xs, rows, s, ann.KernelExact)
+		out := n.ForwardBatch(xs, rows, s, ann.KernelExact)
 		for r := 0; r < rows; r++ {
-			preds[m*rows+r] = e.untransform(e.scalers[0].Unscale(out[r*e.outputs]))
+			preds[m*rows+r] = e.untransform(e.scalers[output].Unscale(out[r*e.outputs+output]))
 		}
 	}
 	return preds
+}
+
+// memberReference reduces memberExact per row: the member-order mean,
+// then the member-order mean squared deviation.
+func memberReference(e *Ensemble, output int, xs []float64, rows int) (mean, variance []float64) {
+	preds := memberExact(e, output, xs, rows)
+	members := len(e.nets)
+	mean, variance = make([]float64, rows), make([]float64, rows)
+	for r := 0; r < rows; r++ {
+		var sum float64
+		for m := 0; m < members; m++ {
+			sum += preds[m*rows+r]
+		}
+		mean[r] = sum / float64(members)
+		var ss float64
+		for m := 0; m < members; m++ {
+			d := preds[m*rows+r] - mean[r]
+			ss += d * d
+		}
+		variance[r] = ss / float64(members)
+	}
+	return mean, variance
 }
 
 // TestEvalKernelFullGridBounds is the acceptance gate for the fast
@@ -94,11 +117,11 @@ func TestEvalKernelFullGridBounds(t *testing.T) {
 			uFast := netFast*span + 1e-12
 			uFast32 := netFast32*span + 1e-12
 
-			preds := memberExact(ens, xs, rows)
+			preds := memberExact(ens, 0, xs, rows)
 			members := len(ens.nets)
 
 			exact := [][]float64{make([]float64, rows), make([]float64, rows)}
-			set.Eval(xs, rows, exact)
+			set.EvalKernel(xs, rows, exact, ann.KernelExact)
 
 			for _, mode := range []struct {
 				mode ann.KernelMode

@@ -148,19 +148,14 @@ func (s *MetricSet) Minimize() []bool {
 	return out
 }
 
-// Eval scores rows encoded points (xs is row-major, rows×Inputs()) and
-// fills cols[m][r] with metric m's value for row r. Every column is
-// bit-identical to the corresponding single-metric batch call
-// (PredictOutputBatch / PredictOutputVarianceBatch), so sweep results
-// do not depend on which metrics ride along.
-func (s *MetricSet) Eval(xs []float64, rows int, cols [][]float64) {
-	s.EvalKernel(xs, rows, cols, ann.KernelExact)
-}
-
-// EvalKernel is Eval with an explicit kernel tier (see ann.KernelMode):
-// ann.KernelExact is Eval bit for bit, while the fast tiers run the
-// bounded-error kernels — still bit-identical within a mode for any
-// chunking or worker count, so sweep shards agree across a cluster.
+// EvalKernel scores rows encoded points (xs is row-major,
+// rows×Inputs()) on the given kernel tier and fills cols[m][r] with
+// metric m's value for row r. Every column is bit-identical to the
+// corresponding single-metric batch call (PredictOutputBatchKernel /
+// PredictOutputVarianceBatchKernel), so sweep results do not depend on
+// which metrics ride along; within a tier they are also bit-identical
+// for any chunking or worker count, so sweep shards agree across a
+// cluster.
 func (s *MetricSet) EvalKernel(xs []float64, rows int, cols [][]float64, mode ann.KernelMode) {
 	if len(cols) != len(s.metrics) {
 		panic(fmt.Sprintf("core: %d metric columns for %d metrics", len(cols), len(s.metrics)))

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
@@ -47,67 +47,6 @@ func trainMultiTask(t *testing.T, seed uint64) *Ensemble {
 	return ens
 }
 
-// TestPredictOutputBatchMatchesPredictAll pins the generalized batch
-// kernel to the per-point multi-output path on every column.
-func TestPredictOutputBatchMatchesPredictAll(t *testing.T) {
-	ens := trainMultiTask(t, 11)
-	sp := synthSpace()
-	enc := newTestEncoder(sp)
-	var probes [][]float64
-	for idx := 0; idx < sp.Size(); idx += 5 {
-		probes = append(probes, enc.EncodeIndex(idx, nil))
-	}
-	xs, rows := flatten(probes)
-	for o := 0; o < ens.Outputs(); o++ {
-		got := ens.PredictOutputBatch(o, xs, rows, nil)
-		for i, p := range probes {
-			want := ens.PredictAll(p)[o]
-			if math.Abs(got[i]-want) > 1e-12*(1+math.Abs(want)) {
-				t.Fatalf("output %d point %d: batch %v vs per-point %v", o, i, got[i], want)
-			}
-		}
-	}
-	// Column 0 must be the identical computation to PredictBatch.
-	a := ens.PredictBatch(xs, rows, nil)
-	b := ens.PredictOutputBatch(0, xs, rows, nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("point %d: PredictOutputBatch(0) %v != PredictBatch %v", i, b[i], a[i])
-		}
-	}
-}
-
-// TestPredictOutputVarianceBatchColumns checks the generalized
-// variance kernel: column 0 equals PredictVarianceBatch bit for bit,
-// and every column's variance is non-negative and paired with the
-// column's own mean.
-func TestPredictOutputVarianceBatchColumns(t *testing.T) {
-	ens := trainMultiTask(t, 12)
-	sp := synthSpace()
-	enc := newTestEncoder(sp)
-	var probes [][]float64
-	for idx := 0; idx < sp.Size(); idx += 7 {
-		probes = append(probes, enc.EncodeIndex(idx, nil))
-	}
-	xs, rows := flatten(probes)
-	m0, v0 := ens.PredictVarianceBatch(xs, rows, nil, nil)
-	for o := 0; o < ens.Outputs(); o++ {
-		mean, variance := ens.PredictOutputVarianceBatch(o, xs, rows, nil, nil)
-		wantMean := ens.PredictOutputBatch(o, xs, rows, nil)
-		for i := range mean {
-			if mean[i] != wantMean[i] {
-				t.Fatalf("output %d point %d: variance-path mean %v != batch mean %v", o, i, mean[i], wantMean[i])
-			}
-			if variance[i] < 0 {
-				t.Fatalf("output %d point %d: negative variance %v", o, i, variance[i])
-			}
-			if o == 0 && (mean[i] != m0[i] || variance[i] != v0[i]) {
-				t.Fatalf("point %d: output-0 path diverged from PredictVarianceBatch", i)
-			}
-		}
-	}
-}
-
 // TestPredictOutputBatchRejectsBadColumn panics on out-of-range output
 // columns rather than silently reading a wrong scaler.
 func TestPredictOutputBatchRejectsBadColumn(t *testing.T) {
@@ -119,7 +58,15 @@ func TestPredictOutputBatchRejectsBadColumn(t *testing.T) {
 					t.Errorf("output %d accepted", bad)
 				}
 			}()
-			ens.PredictOutputBatch(bad, nil, 0, nil)
+			ens.PredictOutputBatchKernel(bad, nil, 0, nil, ann.KernelExact)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("output %d accepted by the variance call", bad)
+				}
+			}()
+			ens.PredictOutputVarianceBatchKernel(bad, nil, 0, nil, nil, ann.KernelExact)
 		}()
 	}
 }
@@ -147,10 +94,10 @@ func TestMetricSetEvalMatchesDirectCalls(t *testing.T) {
 	for m := range cols {
 		cols[m] = make([]float64, rows)
 	}
-	set.Eval(xs, rows, cols)
+	set.EvalKernel(xs, rows, cols, ann.KernelExact)
 
-	wantPerf, wantConf := perf.PredictVarianceBatch(xs, rows, nil, nil)
-	wantEnergy := energy.PredictOutputBatch(1, xs, rows, nil)
+	wantPerf, wantConf := perf.PredictOutputVarianceBatchKernel(0, xs, rows, nil, nil, ann.KernelExact)
+	wantEnergy := energy.PredictOutputBatchKernel(1, xs, rows, nil, ann.KernelExact)
 	for r := 0; r < rows; r++ {
 		if cols[0][r] != wantPerf[r] || cols[3][r] != wantPerf[r] {
 			t.Fatalf("row %d: perf columns %v/%v != %v", r, cols[0][r], cols[3][r], wantPerf[r])

@@ -40,130 +40,97 @@ func getPredictScratch(members int) *predictScratch {
 // Inputs returns the encoded input width the ensemble's members expect.
 func (e *Ensemble) Inputs() int { return e.nets[0].Config().Inputs }
 
-// PredictBatch scores many encoded design points in one call: xs is a
-// flat row-major matrix of rows points (each Inputs() wide) and the
-// primary-target predictions land in out (allocated when nil), which is
-// also returned. This is the hot path for candidate-pool scoring and
-// full-space sweeps — it runs each member's batched forward kernel over
-// the whole chunk and shards chunks across the ensemble's worker bound.
+// PredictOutputBatchKernel scores rows encoded design points on
+// ensemble output column output (0 is the primary target; multi-task
+// ensembles carry auxiliary metrics in the further columns) with the
+// given kernel tier. xs is a flat row-major matrix of rows points, each
+// Inputs() wide; the member-mean predictions land in out (allocated
+// when nil), which is also returned. This is the hot path for
+// candidate-pool scoring, full-space sweeps and served predictions.
 //
-// Each output is bit-identical to Predict on the same point: rows are
-// independent, and the per-row member accumulation order is unchanged.
-func (e *Ensemble) PredictBatch(xs []float64, rows int, out []float64) []float64 {
-	return e.PredictOutputBatch(0, xs, rows, out)
-}
-
-// PredictOutputBatch is PredictBatch for an arbitrary target metric:
-// it scores the batch on ensemble output column output (0 is the
-// primary target; multi-task ensembles carry auxiliary metrics in the
-// further columns). For output 0 it is the identical computation to
-// PredictBatch — same kernels, same accumulation order, same bits.
-func (e *Ensemble) PredictOutputBatch(output int, xs []float64, rows int, out []float64) []float64 {
-	return e.PredictOutputBatchKernel(output, xs, rows, out, ann.KernelExact)
-}
-
-// PredictOutputBatchKernel is PredictOutputBatch with an explicit
-// kernel tier (see ann.KernelMode). The mode is a per-call argument so
-// one shared ensemble can serve exact and fast queries concurrently;
-// ann.KernelExact reproduces PredictOutputBatch bit for bit, while the
-// fast tiers trade the documented mathx error bounds for throughput
-// and stay bit-identical within a mode across chunking and workers.
+// The mode is a per-call argument so one shared ensemble can serve
+// exact and fast queries concurrently. ann.KernelExact is the
+// bit-identical reference; the fast tiers trade the documented mathx
+// error bounds for throughput. Within a mode every row is bit-identical
+// for any batch size, chunking or worker count.
 func (e *Ensemble) PredictOutputBatchKernel(output int, xs []float64, rows int, out []float64, mode ann.KernelMode) []float64 {
-	e.checkOutput(output)
-	if rows < 0 || len(xs) != rows*e.Inputs() {
-		panic(fmt.Sprintf("core: batch of %d values is not %d rows × %d inputs", len(xs), rows, e.Inputs()))
-	}
 	if out == nil {
 		out = make([]float64, rows)
 	}
-	if len(out) != rows {
-		panic(fmt.Sprintf("core: output buffer has %d slots for %d rows", len(out), rows))
-	}
-	e.forEachChunk(rows, func(start, end int, s *ann.Scratch, preds []float64) {
-		e.predictRange(output, xs, start, end, out[start:end], s, preds, mode)
-	})
+	e.predictKernel(output, xs, rows, out, nil, mode)
 	return out
 }
 
-// checkOutput panics when output does not name a trained target metric.
-func (e *Ensemble) checkOutput(output int) {
-	if output < 0 || output >= e.outputs {
-		panic(fmt.Sprintf("core: output %d out of range [0,%d)", output, e.outputs))
-	}
-}
-
-// PredictVarianceBatch is the batched PredictVariance: for each of rows
-// encoded points it computes the ensemble mean and the variance of the
-// member predictions (the active-learning disagreement signal of
-// Chapter 7). mean and variance are filled when non-nil and allocated
-// otherwise; both are returned.
-func (e *Ensemble) PredictVarianceBatch(xs []float64, rows int, mean, variance []float64) ([]float64, []float64) {
-	return e.PredictOutputVarianceBatch(0, xs, rows, mean, variance)
-}
-
-// PredictOutputVarianceBatch is PredictVarianceBatch for an arbitrary
-// target metric: mean and member disagreement on ensemble output
-// column output. For output 0 it is the identical computation to
-// PredictVarianceBatch, bit for bit.
-func (e *Ensemble) PredictOutputVarianceBatch(output int, xs []float64, rows int, mean, variance []float64) ([]float64, []float64) {
-	return e.PredictOutputVarianceBatchKernel(output, xs, rows, mean, variance, ann.KernelExact)
-}
-
-// PredictOutputVarianceBatchKernel is PredictOutputVarianceBatch with
-// an explicit kernel tier; see PredictOutputBatchKernel for the mode
-// semantics. The member mean/deviation accumulation is float64 and
-// identical across modes — only the forward kernels and the
-// denormalization transcendental differ on the fast tiers.
+// PredictOutputVarianceBatchKernel is PredictOutputBatchKernel plus the
+// variance of the member predictions — the active-learning
+// disagreement signal of Chapter 7. mean and variance are filled when
+// non-nil and allocated otherwise; both are returned, and mean is bit
+// for bit what PredictOutputBatchKernel returns for the same call.
 func (e *Ensemble) PredictOutputVarianceBatchKernel(output int, xs []float64, rows int, mean, variance []float64, mode ann.KernelMode) ([]float64, []float64) {
-	e.checkOutput(output)
-	if rows < 0 || len(xs) != rows*e.Inputs() {
-		panic(fmt.Sprintf("core: batch of %d values is not %d rows × %d inputs", len(xs), rows, e.Inputs()))
-	}
 	if mean == nil {
 		mean = make([]float64, rows)
 	}
 	if variance == nil {
 		variance = make([]float64, rows)
 	}
-	if len(mean) != rows || len(variance) != rows {
-		panic(fmt.Sprintf("core: mean/variance buffers have %d/%d slots for %d rows", len(mean), len(variance), rows))
+	e.predictKernel(output, xs, rows, mean, variance, mode)
+	return mean, variance
+}
+
+// predictKernel is the one scoring kernel behind every prediction: it
+// runs each member's batched forward pass over predictChunk-row chunks
+// (sharded across the ensemble's worker bound), denormalizes the
+// output column, and reduces the members per row into mean and, when
+// variance is non-nil, variance. The member reduction is float64 and
+// identical across modes — only the forward kernels and the
+// denormalization transcendental differ on the fast tiers.
+func (e *Ensemble) predictKernel(output int, xs []float64, rows int, mean, variance []float64, mode ann.KernelMode) {
+	if output < 0 || output >= e.outputs {
+		panic(fmt.Sprintf("core: output %d out of range [0,%d)", output, e.outputs))
+	}
+	width := e.Inputs()
+	if rows < 0 || len(xs) != rows*width {
+		panic(fmt.Sprintf("core: batch of %d values is not %d rows × %d inputs", len(xs), rows, width))
+	}
+	if len(mean) != rows || (variance != nil && len(variance) != rows) {
+		panic(fmt.Sprintf("core: output buffers have %d/%d slots for %d rows", len(mean), len(variance), rows))
 	}
 	members := len(e.nets)
+	sc := e.scalers[output]
 	e.forEachChunk(rows, func(start, end int, s *ann.Scratch, preds []float64) {
 		cnt := end - start
 		// preds[m*cnt+r] is member m's prediction for row start+r.
-		if mode == ann.KernelExact {
-			for m, n := range e.nets {
-				outM := n.ForwardBatchKernel(xs[start*e.Inputs():end*e.Inputs()], cnt, s, ann.KernelExact)
-				for r := 0; r < cnt; r++ {
-					preds[m*cnt+r] = e.untransform(e.scalers[output].Unscale(outM[r*e.outputs+output]))
+		for m, n := range e.nets {
+			outM := n.ForwardBatch(xs[start*width:end*width], cnt, s, mode)
+			col := preds[m*cnt : (m+1)*cnt]
+			if mode == ann.KernelExact {
+				for r := range col {
+					col[r] = e.untransform(sc.Unscale(outM[r*e.outputs+output]))
 				}
-			}
-		} else {
-			for m, n := range e.nets {
-				outM := n.ForwardBatchKernel(xs[start*e.Inputs():end*e.Inputs()], cnt, s, mode)
-				e.denormalizeFast(output, outM, cnt, preds[m*cnt:(m+1)*cnt])
+			} else {
+				e.denormalizeFast(output, outM, cnt, col)
 			}
 		}
-		// Same accumulation order as the per-point PredictVariance:
-		// member-order sum for the mean, then member-order squared
-		// deviations.
+		// Member-order sum for the mean, then member-order squared
+		// deviations for the variance.
 		for r := 0; r < cnt; r++ {
 			var sum float64
 			for m := 0; m < members; m++ {
 				sum += preds[m*cnt+r]
 			}
 			mu := sum / float64(members)
+			mean[start+r] = mu
+			if variance == nil {
+				continue
+			}
 			var ss float64
 			for m := 0; m < members; m++ {
 				d := preds[m*cnt+r] - mu
 				ss += d * d
 			}
-			mean[start+r] = mu
 			variance[start+r] = ss / float64(members)
 		}
 	})
-	return mean, variance
 }
 
 // denormalizeFast maps one member's model-space output column back to
@@ -183,7 +150,7 @@ func (e *Ensemble) denormalizeFast(output int, outM []float64, cnt int, dst []fl
 }
 
 // PredictIndices encodes the design-point indices through enc and
-// scores them with the batched kernels — the common "evaluate the
+// scores them on the primary target with the exact kernel — the common "evaluate the
 // model on this list of points" idiom. Encoding and prediction stream
 // in fixed-size blocks, so a full-space evaluation set costs one
 // block's buffer, not O(points) memory; rows are independent, so the
@@ -198,7 +165,7 @@ func (e *Ensemble) PredictIndices(enc *encoding.Encoder, idxs []int) []float64 {
 		for i, idx := range idxs[lo:hi] {
 			enc.EncodeIndex(idx, xs[i*width:(i+1)*width])
 		}
-		e.PredictBatch(xs[:(hi-lo)*width], hi-lo, out[lo:hi])
+		e.predictKernel(0, xs[:(hi-lo)*width], hi-lo, out[lo:hi], nil, ann.KernelExact)
 	}
 	return out
 }
@@ -227,36 +194,6 @@ func (e *Ensemble) TrueError(enc *encoding.Encoder, idxs []int, truth []float64)
 	}
 	mean, sd = stats.MeanStd(errs)
 	return mean, sd, len(errs)
-}
-
-// predictRange scores rows [start, end) on one output column into out,
-// reusing s; tmp is a ≥cnt scratch column for the fast tiers'
-// batched denormalization.
-func (e *Ensemble) predictRange(output int, xs []float64, start, end int, out []float64, s *ann.Scratch, tmp []float64, mode ann.KernelMode) {
-	cnt := end - start
-	for i := range out {
-		out[i] = 0
-	}
-	if mode == ann.KernelExact {
-		for _, n := range e.nets {
-			outM := n.ForwardBatchKernel(xs[start*e.Inputs():end*e.Inputs()], cnt, s, ann.KernelExact)
-			for r := 0; r < cnt; r++ {
-				out[r] += e.untransform(e.scalers[output].Unscale(outM[r*e.outputs+output]))
-			}
-		}
-	} else {
-		for _, n := range e.nets {
-			outM := n.ForwardBatchKernel(xs[start*e.Inputs():end*e.Inputs()], cnt, s, mode)
-			e.denormalizeFast(output, outM, cnt, tmp[:cnt])
-			for r := 0; r < cnt; r++ {
-				out[r] += tmp[r]
-			}
-		}
-	}
-	members := float64(len(e.nets))
-	for r := range out {
-		out[r] /= members
-	}
 }
 
 // forEachChunk splits [0, rows) into predictChunk-sized ranges and runs

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/stats"
 )
 
@@ -45,39 +46,73 @@ func flatten(points [][]float64) ([]float64, int) {
 	return out, len(points)
 }
 
-// TestPredictBatchMatchesPredict is the ensemble-level parity property
-// from the paper's perspective: scoring a batch must be a pure
-// performance change, with every prediction within 1e-12 of the
-// per-point path (the implementation is in fact bit-identical).
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	cfg := fastModel()
-	cfg.Seed = 31
-	ens, probes := trainSynthEnsemble(t, cfg, 7)
-	xs, rows := flatten(probes)
-	got := ens.PredictBatch(xs, rows, nil)
-	for i, p := range probes {
-		want := ens.Predict(p)
-		if math.Abs(got[i]-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("point %d: batch %v vs per-point %v", i, got[i], want)
-		}
-	}
+// predictOne scores one encoded point on the primary target with the
+// exact kernel: the rows=1 call the per-point tests use.
+func predictOne(e *Ensemble, x []float64) float64 {
+	return e.PredictOutputBatchKernel(0, x, 1, nil, ann.KernelExact)[0]
 }
 
-// TestPredictVarianceBatchMatchesPerPoint checks the active-learning
-// disagreement signal survives batching unchanged.
-func TestPredictVarianceBatchMatchesPerPoint(t *testing.T) {
-	cfg := fastModel()
-	cfg.Seed = 32
-	ens, probes := trainSynthEnsemble(t, cfg, 8)
-	xs, rows := flatten(probes)
-	mean, variance := ens.PredictVarianceBatch(xs, rows, nil, nil)
-	for i, p := range probes {
-		m, v := ens.PredictVariance(p)
-		if math.Abs(mean[i]-m) > 1e-12*(1+math.Abs(m)) {
-			t.Fatalf("point %d: batch mean %v vs per-point %v", i, mean[i], m)
-		}
-		if math.Abs(variance[i]-v) > 1e-12*(1+math.Abs(v)) {
-			t.Fatalf("point %d: batch variance %v vs per-point %v", i, variance[i], v)
+// TestPredictKernelParity is the parity property of the two scoring
+// entry points, on every kernel tier, on both outputs of a multi-task
+// ensemble, for batches below, across and beyond the chunk boundary,
+// with one and four workers. Bit for bit: row r of an N-row call
+// equals a rows=1 call on that row; the mean-only call equals the mean
+// of the variance call; and the variance call fills and returns the
+// caller's buffers. Every variance is non-negative. On the exact tier every row also matches a
+// member-by-member reference built from the networks directly.
+func TestPredictKernelParity(t *testing.T) {
+	ens := trainMultiTask(t, 11)
+	const maxRows = 1100
+	width := ens.Inputs()
+	rng := stats.NewRNG(0x9A71)
+	xs := make([]float64, maxRows*width)
+	for i := range xs {
+		xs[i] = rng.Float64()
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast, ann.KernelFast32} {
+		for _, output := range []int{0, 1} {
+			// rows=1 references for every row.
+			oneMean := make([]float64, maxRows)
+			oneVar := make([]float64, maxRows)
+			for r := 0; r < maxRows; r++ {
+				x := xs[r*width : (r+1)*width]
+				m, v := ens.PredictOutputVarianceBatchKernel(output, x, 1, nil, nil, mode)
+				oneMean[r], oneVar[r] = m[0], v[0]
+				if v[0] < 0 {
+					t.Fatalf("%s output %d row %d: negative variance %v", mode, output, r, v[0])
+				}
+				if mo := ens.PredictOutputBatchKernel(output, x, 1, nil, mode)[0]; !same(mo, m[0]) {
+					t.Fatalf("%s output %d row %d: rows=1 mean-only %v != variance-call mean %v", mode, output, r, mo, m[0])
+				}
+			}
+			if mode == ann.KernelExact {
+				refMean, refVar := memberReference(ens, output, xs, maxRows)
+				for r := range refMean {
+					if !same(oneMean[r], refMean[r]) || !same(oneVar[r], refVar[r]) {
+						t.Fatalf("output %d row %d: kernel (%v, %v) != member reference (%v, %v)",
+							output, r, oneMean[r], oneVar[r], refMean[r], refVar[r])
+					}
+				}
+			}
+			for _, workers := range []int{1, 4} {
+				ens.SetWorkers(workers)
+				for _, rows := range []int{1, 7, 513, maxRows} {
+					batch := xs[:rows*width]
+					meanOnly := ens.PredictOutputBatchKernel(output, batch, rows, nil, mode)
+					meanBuf, varBuf := make([]float64, rows), make([]float64, rows)
+					mean, variance := ens.PredictOutputVarianceBatchKernel(output, batch, rows, meanBuf, varBuf, mode)
+					if &mean[0] != &meanBuf[0] || &variance[0] != &varBuf[0] {
+						t.Fatalf("%s output %d rows %d: variance call did not return the caller's buffers", mode, output, rows)
+					}
+					for r := 0; r < rows; r++ {
+						if !same(meanOnly[r], oneMean[r]) || !same(mean[r], oneMean[r]) || !same(variance[r], oneVar[r]) {
+							t.Fatalf("%s output %d workers %d rows %d row %d: (%v, %v, %v) != rows=1 (%v, %v)",
+								mode, output, workers, rows, r, meanOnly[r], mean[r], variance[r], oneMean[r], oneVar[r])
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -91,10 +126,10 @@ func TestPredictBatchWorkersInvariant(t *testing.T) {
 	xs, rows := flatten(probes)
 
 	ens.SetWorkers(1)
-	serial := append([]float64(nil), ens.PredictBatch(xs, rows, nil)...)
+	serial := ens.PredictOutputBatchKernel(0, xs, rows, nil, ann.KernelExact)
 	for _, w := range []int{2, 4, 8} {
 		ens.SetWorkers(w)
-		got := ens.PredictBatch(xs, rows, nil)
+		got := ens.PredictOutputBatchKernel(0, xs, rows, nil, ann.KernelExact)
 		for i := range serial {
 			if got[i] != serial[i] {
 				t.Fatalf("workers=%d: point %d differs: %v vs %v", w, i, got[i], serial[i])
@@ -137,8 +172,8 @@ func TestParallelFoldTrainingMatchesSequential(t *testing.T) {
 	}
 	for idx := 0; idx < sp.Size(); idx += 7 {
 		p := enc.EncodeIndex(idx, nil)
-		if seq.Predict(p) != par.Predict(p) {
-			t.Fatalf("point %d: sequential %v vs parallel %v", idx, seq.Predict(p), par.Predict(p))
+		if a, b := predictOne(seq, p), predictOne(par, p); a != b {
+			t.Fatalf("point %d: sequential %v vs parallel %v", idx, a, b)
 		}
 	}
 	if seq.Workers() != 1 || par.Workers() != 8 {
@@ -152,7 +187,7 @@ func TestPredictBatchEmptyAndValidation(t *testing.T) {
 	cfg := fastModel()
 	cfg.Seed = 35
 	ens, _ := trainSynthEnsemble(t, cfg, 11)
-	if out := ens.PredictBatch(nil, 0, nil); len(out) != 0 {
+	if out := ens.PredictOutputBatchKernel(0, nil, 0, nil, ann.KernelExact); len(out) != 0 {
 		t.Fatalf("empty batch returned %d predictions", len(out))
 	}
 	defer func() {
@@ -160,7 +195,7 @@ func TestPredictBatchEmptyAndValidation(t *testing.T) {
 			t.Fatal("mis-sized batch did not panic")
 		}
 	}()
-	ens.PredictBatch(make([]float64, 3), 2, nil)
+	ens.PredictOutputBatchKernel(0, make([]float64, 3), 2, nil, ann.KernelExact)
 }
 
 // TestTrueErrorSkipsZeroTruth pins the held-out evaluation helper the

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"sort"
 
+	"repro/internal/ann"
 	"repro/internal/encoding"
 	"repro/internal/space"
 	"repro/internal/stats"
@@ -152,7 +153,7 @@ func (s *BatchSelector) ByVariance(ens *Ensemble, n, pool int) []int {
 	if len(idxs) == 0 {
 		return nil
 	}
-	_, vs := ens.PredictVarianceBatch(xs, len(idxs), nil, nil)
+	_, vs := ens.PredictOutputVarianceBatchKernel(0, xs, len(idxs), nil, nil, ann.KernelExact)
 	return topVariance(idxs, vs, n)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/ann"
 	"repro/internal/encoding"
 	"repro/internal/space"
 	"repro/internal/stats"
@@ -63,7 +64,7 @@ func Sensitivity(ens *Ensemble, sp *space.Space, bases int, seed uint64) []AxisS
 		if cap(preds) < rows {
 			preds = make([]float64, rows)
 		}
-		preds = ens.PredictBatch(xs, rows, preds[:rows])
+		preds = ens.PredictOutputBatchKernel(0, xs, rows, preds[:rows], ann.KernelExact)
 
 		var swings []float64
 		var worst float64

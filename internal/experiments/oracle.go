@@ -31,27 +31,21 @@ const (
 	MultiTask
 )
 
-// resultCache memoizes full simulation results process-wide; the
-// simulator is deterministic, so caching changes wall-clock time only.
-// Keys combine study, app, trace length and design-point index.
-var resultCache sync.Map // string -> sim.Result
-
-func cacheKey(study, app string, traceLen, index int) string {
-	return fmt.Sprintf("%s/%s/%d/%d", study, app, traceLen, index)
-}
-
 // SimOracle evaluates design points by running the cycle-level
 // simulator on a fixed application trace. It parallelizes batches
-// across GOMAXPROCS workers and counts the simulations it actually
-// performs (cache misses), which the reduction-factor experiments use.
+// across GOMAXPROCS workers, memoizes results per design point (the
+// simulator is deterministic, so the cache changes wall-clock time
+// only), and counts the simulations it actually performs. The cache
+// belongs to the oracle and is dropped with it.
 type SimOracle struct {
 	Study    *studies.Study
 	App      string
 	TraceLen int
 	Metrics  Metrics
 
-	mu   sync.Mutex
-	sims int // simulations actually executed (not served from cache)
+	cache sync.Map // design-point index -> sim.Result
+	mu    sync.Mutex
+	sims  int // simulations actually executed (not served from cache)
 }
 
 // NewSimOracle builds an oracle for one (study, application) pair.
@@ -70,8 +64,7 @@ func (o *SimOracle) SimulationsRun() int {
 // Result returns the full simulation result for one design point,
 // through the cache.
 func (o *SimOracle) Result(index int) (sim.Result, error) {
-	key := cacheKey(o.Study.Name, o.App, o.TraceLen, index)
-	if v, ok := resultCache.Load(key); ok {
+	if v, ok := o.cache.Load(index); ok {
 		return v.(sim.Result), nil
 	}
 	cfg := o.Study.Config(index)
@@ -80,7 +73,7 @@ func (o *SimOracle) Result(index int) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: %s/%s point %d: %w", o.Study.Name, o.App, index, err)
 	}
-	resultCache.Store(key, r)
+	o.cache.Store(index, r)
 	o.mu.Lock()
 	o.sims++
 	o.mu.Unlock()
@@ -153,7 +146,7 @@ func (o *SimOracle) IPCs(indices []int) ([]float64, error) {
 // application and combines them with the cluster weights (§5.3). Its
 // estimates are noisy relative to full simulation — which is exactly
 // the property the ANN+SimPoint experiments study. The noisy estimates
-// are cached like full results, under a distinct key space.
+// are memoized per oracle, like SimOracle's full results.
 type SimPointOracle struct {
 	Study *studies.Study
 	App   string
@@ -161,8 +154,9 @@ type SimPointOracle struct {
 	TraceLen int
 	Plan     *simpoint.Plan
 
-	mu   sync.Mutex
-	sims int
+	cache sync.Map // design-point index -> float64 IPC estimate
+	mu    sync.Mutex
+	sims  int
 }
 
 // NewSimPointOracle runs SimPoint's offline phase (BBV profiling,
@@ -187,9 +181,8 @@ func (o *SimPointOracle) SimulationsRun() int {
 
 // Estimate returns the SimPoint IPC estimate for one design point.
 func (o *SimPointOracle) Estimate(index int) (float64, error) {
-	key := cacheKey("simpoint-"+o.Study.Name, o.App, o.TraceLen, index)
-	if v, ok := resultCache.Load(key); ok {
-		return v.(sim.Result).IPC, nil
+	if v, ok := o.cache.Load(index); ok {
+		return v.(float64), nil
 	}
 	cfg := o.Study.Config(index)
 	tr := workload.Get(o.App, o.TraceLen)
@@ -197,7 +190,7 @@ func (o *SimPointOracle) Estimate(index int) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("experiments: simpoint estimate %s/%s point %d: %w", o.Study.Name, o.App, index, err)
 	}
-	resultCache.Store(key, sim.Result{IPC: ipc})
+	o.cache.Store(index, ipc)
 	o.mu.Lock()
 	o.sims++
 	o.mu.Unlock()

@@ -184,7 +184,7 @@ func TestCoalescerFlushComputesOnlyMisses(t *testing.T) {
 	const warm, total = 6, 12
 	for i := 0; i < warm; i++ {
 		x := b.Encoder.EncodeIndex(i, nil)
-		mean, vr := b.Ensemble.PredictVariance(x)
+		mean, vr := directPredict(b.Ensemble, x)
 		cache.put(cacheKey{version: 1, index: i}, cacheVal{mean: mean, variance: vr})
 	}
 	var wg sync.WaitGroup
@@ -194,7 +194,7 @@ func TestCoalescerFlushComputesOnlyMisses(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			x := b.Encoder.EncodeIndex(i, nil)
-			wantMean, wantVar := b.Ensemble.PredictVariance(x)
+			wantMean, wantVar := directPredict(b.Ensemble, x)
 			mean, vr, err := c.predict(x, ann.KernelExact, cacheKey{version: 1, index: i})
 			if err != nil {
 				errs <- err

@@ -80,8 +80,8 @@ func TestReloadVersionCutover(t *testing.T) {
 
 	const point = 11
 	x := b1.Encoder.EncodeIndex(point, nil)
-	want1, _ := b1.Ensemble.PredictVariance(x)
-	want2, _ := b2.Ensemble.PredictVariance(x)
+	want1, _ := directPredict(b1.Ensemble, x)
+	want2, _ := directPredict(b2.Ensemble, x)
 	if want1 == want2 {
 		t.Fatal("test bundles predict identically; the cutover would be invisible")
 	}

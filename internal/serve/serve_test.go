@@ -62,6 +62,13 @@ func trainedBundle(t testing.TB) *bundle.Bundle {
 	return b
 }
 
+// directPredict is the in-process exact rows=1 mean and variance every
+// served answer for x must equal bit for bit.
+func directPredict(e *core.Ensemble, x []float64) (mean, variance float64) {
+	m, v := e.PredictOutputVarianceBatchKernel(0, x, 1, nil, nil, ann.KernelExact)
+	return m[0], v[0]
+}
+
 // newTestServer registers one trained model under "synth" and returns
 // the HTTP test server around it.
 func newTestServer(t testing.TB, opts CoalesceOpts) (*httptest.Server, *Registry, *bundle.Bundle) {
@@ -111,7 +118,7 @@ func floats(t *testing.T, v any) []float64 {
 }
 
 // TestBatchPredictBitIdentical is the serving acceptance property: the
-// HTTP batch endpoint must return exactly what in-process PredictBatch
+// HTTP batch endpoint must return exactly what the in-process batched kernel
 // returns on the same points (JSON float64 round-trips are exact).
 func TestBatchPredictBitIdentical(t *testing.T) {
 	ts, _, b := newTestServer(t, CoalesceOpts{})
@@ -121,7 +128,7 @@ func TestBatchPredictBitIdentical(t *testing.T) {
 	for i, p := range points {
 		b.Encoder.EncodeIndex(p, xs[i*width:(i+1)*width])
 	}
-	want := b.Ensemble.PredictBatch(xs, len(points), nil)
+	want := b.Ensemble.PredictOutputBatchKernel(0, xs, len(points), nil, ann.KernelExact)
 
 	body, _ := json.Marshal(map[string]any{"model": "synth", "points": points})
 	resp, out := postJSON(t, ts.URL+"/v1/predict/batch", string(body))
@@ -163,8 +170,8 @@ func TestChoicesAddressingMatchesIndexAddressing(t *testing.T) {
 		t.Fatalf("prediction differs by addressing mode: %v vs %v",
 			byChoices["prediction"], byIndex["prediction"])
 	}
-	if want := b.Ensemble.Predict(b.Encoder.EncodeIndex(idx, nil)); byIndex["prediction"].(float64) != want {
-		t.Fatalf("served %v, in-process Predict %v", byIndex["prediction"], want)
+	if want, _ := directPredict(b.Ensemble, b.Encoder.EncodeIndex(idx, nil)); byIndex["prediction"].(float64) != want {
+		t.Fatalf("served %v, in-process prediction %v", byIndex["prediction"], want)
 	}
 }
 
@@ -176,7 +183,7 @@ func TestVarianceEndpointMatchesBatchKernel(t *testing.T) {
 	for i, p := range points {
 		b.Encoder.EncodeIndex(p, xs[i*width:(i+1)*width])
 	}
-	wantMean, wantVar := b.Ensemble.PredictVarianceBatch(xs, len(points), nil, nil)
+	wantMean, wantVar := b.Ensemble.PredictOutputVarianceBatchKernel(0, xs, len(points), nil, nil, ann.KernelExact)
 
 	body, _ := json.Marshal(map[string]any{"points": points})
 	resp, out := postJSON(t, ts.URL+"/v1/variance", string(body))
@@ -202,7 +209,7 @@ func TestConcurrentPredictsCoalesceAndMatch(t *testing.T) {
 	const requests = 40 // the whole synthetic space
 	want := make([]float64, requests)
 	for i := range want {
-		want[i] = b.Ensemble.Predict(b.Encoder.EncodeIndex(i, nil))
+		want[i], _ = directPredict(b.Ensemble, b.Encoder.EncodeIndex(i, nil))
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, requests)
@@ -422,7 +429,7 @@ func TestCoalescerDirect(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			x := b.Encoder.EncodeIndex(i, nil)
-			wantMean, wantVar := b.Ensemble.PredictVariance(x)
+			wantMean, wantVar := directPredict(b.Ensemble, x)
 			mean, variance, err := c.predict(x, ann.KernelExact, cacheKey{})
 			if err != nil {
 				errs <- err

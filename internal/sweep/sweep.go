@@ -269,7 +269,7 @@ func RunPartial(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg C
 					view[m] = cols[m][:rows]
 				}
 				set.EvalKernel(xs[:rows*width], rows, view, cfg.Kernel)
-				p := chunkPart{id: c - firstChunk, rows: rows, front: newFrontier(minimize)}
+				p := chunkPart{id: c - firstChunk, rows: rows, front: pareto.NewFrontier(minimize)}
 				for m := range metrics {
 					p.tops = append(p.tops, newTopK(m, minimize[m], topk))
 				}
@@ -300,7 +300,7 @@ func RunPartial(ctx context.Context, sp *space.Space, set *core.MetricSet, cfg C
 	// Ordered reduction: chunk pieces may arrive in any order, but
 	// merge strictly by chunk id, so progress is monotone and the merge
 	// sequence is one fixed function of the space — not of scheduling.
-	front := newFrontier(minimize)
+	front := pareto.NewFrontier(minimize)
 	var tops []*topK
 	for m := range metrics {
 		tops = append(tops, newTopK(m, minimize[m], topk))
@@ -400,7 +400,7 @@ func Reference(sp *space.Space, set *core.MetricSet, topk int) (*Result, error) 
 	for m := range cols {
 		cols[m] = make([]float64, size)
 	}
-	set.Eval(xs, size, cols)
+	set.EvalKernel(xs, size, cols, ann.KernelExact)
 	pts := make([]Point, size)
 	for i := range pts {
 		v := make([]float64, len(metrics))
@@ -436,8 +436,8 @@ func Reference(sp *space.Space, set *core.MetricSet, topk int) (*Result, error) 
 			if j == i {
 				continue
 			}
-			if dominates(minimize, pts[j].Values, pts[i].Values) ||
-				(equalValues(pts[j].Values, pts[i].Values) && pts[j].Index < pts[i].Index) {
+			if pareto.Dominates(minimize, pts[j].Values, pts[i].Values) ||
+				(pareto.EqualValues(pts[j].Values, pts[i].Values) && pts[j].Index < pts[i].Index) {
 				keep = false
 				break
 			}
@@ -453,6 +453,6 @@ func Reference(sp *space.Space, set *core.MetricSet, topk int) (*Result, error) 
 func sortByMetric(order []int, pts []Point, m int, minimize bool) {
 	sort.Slice(order, func(i, j int) bool {
 		a, b := pts[order[i]], pts[order[j]]
-		return better(minimize, a.Values[m], b.Values[m], a.Index, b.Index)
+		return pareto.Better(minimize, a.Values[m], b.Values[m], a.Index, b.Index)
 	})
 }
