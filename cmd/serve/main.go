@@ -68,7 +68,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "goroutines per model for batched prediction (0 = all cores)")
 	maxBatch := flag.Int("coalesce-batch", 256, "max single-point requests answered per batched flush")
-	linger := flag.Duration("coalesce-linger", 200*time.Microsecond, "how long a flush waits for more requests")
 	jobs := flag.Int("jobs", 1, "exploration jobs running concurrently (0 disables POST /v1/explore)")
 	drain := flag.Duration("drain", 15*time.Second, "how long shutdown waits for in-flight requests before closing connections")
 	jobQueue := flag.Int("job-queue", 16, "exploration jobs queued beyond the running ones before 429s")
@@ -105,7 +104,7 @@ func main() {
 		reg.EnableCache(*cacheSize)
 		fmt.Printf("exact prediction cache: %d entries\n", *cacheSize)
 	}
-	opts := serve.CoalesceOpts{MaxBatch: *maxBatch, Linger: *linger}
+	opts := serve.CoalesceOpts{MaxBatch: *maxBatch}
 	for _, spec := range models {
 		name, path, _ := strings.Cut(spec, "=")
 		m, err := reg.AddFile(name, path, opts, *workers)

@@ -108,7 +108,7 @@ func newHardenedTarget(t testing.TB, cacheEntries int) string {
 	b := trainedBundle(t)
 	reg := serve.NewRegistry()
 	reg.EnableCache(cacheEntries)
-	if _, err := reg.Add("synth", b, serve.CoalesceOpts{Linger: 200 * time.Microsecond}); err != nil {
+	if _, err := reg.Add("synth", b, serve.CoalesceOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(serve.New(reg))

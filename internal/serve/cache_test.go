@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/ann"
 	"repro/internal/bundle"
@@ -38,7 +37,7 @@ func newCachedServer(t testing.TB, entries int, opts CoalesceOpts) (*httptest.Se
 // round-trip precision, so == on the decoded values is a bit
 // comparison.
 func TestCacheBitIdentityAllTiers(t *testing.T) {
-	ts, reg, b := newCachedServer(t, 1024, CoalesceOpts{Linger: time.Millisecond})
+	ts, reg, b := newCachedServer(t, 1024, CoalesceOpts{})
 	for _, tier := range []struct {
 		name string
 		mode ann.KernelMode
@@ -79,7 +78,7 @@ func TestCacheBitIdentityAllTiers(t *testing.T) {
 // the ensemble: the coalescer's request counter (every request that
 // reaches the dispatch path) must not move on the cached pass.
 func TestCacheHitSkipsEnsemble(t *testing.T) {
-	ts, reg, _ := newCachedServer(t, 64, CoalesceOpts{Linger: time.Millisecond})
+	ts, reg, _ := newCachedServer(t, 64, CoalesceOpts{})
 	body := `{"model":"synth","point":3}`
 	postJSON(t, ts.URL+"/v1/predict", body) // fill
 	m, err := reg.Get("synth")
@@ -178,7 +177,7 @@ func TestCacheCLOCKPrefersUnreferenced(t *testing.T) {
 func TestCoalescerFlushComputesOnlyMisses(t *testing.T) {
 	b := trainedBundle(t)
 	cache := newPredCache(64)
-	c := newCoalescer(b.Ensemble, b.Encoder.Width(), CoalesceOpts{Linger: 20 * time.Millisecond, MaxBatch: 64}, cache)
+	c := newCoalescer(b.Ensemble, b.Encoder.Width(), CoalesceOpts{MaxBatch: 64}, cache)
 	defer c.close()
 
 	const warm, total = 6, 12
@@ -218,43 +217,59 @@ func TestCoalescerFlushComputesOnlyMisses(t *testing.T) {
 	}
 }
 
-// TestCoalescerMixedTierBatch drives concurrent requests of different
-// kernel tiers through one coalescer and checks each answer against
-// its own tier's direct computation — the flush partitions correctly.
+// TestCoalescerMixedTierBatch queues requests of all three kernel tiers
+// behind a held flush, so one flush carries every tier, and checks each
+// answer against its own tier's direct computation — the flush
+// partitions correctly, with one kernel call per tier.
 func TestCoalescerMixedTierBatch(t *testing.T) {
 	b := trainedBundle(t)
-	c := newCoalescer(b.Ensemble, b.Encoder.Width(), CoalesceOpts{Linger: 20 * time.Millisecond, MaxBatch: 64}, nil)
-	defer c.close()
+	c := newCoalescer(b.Ensemble, b.Encoder.Width(), CoalesceOpts{MaxBatch: 64}, nil)
+	t.Cleanup(c.close) // after the hold's cleanup has released the dispatcher
+	hold := holdFirstFlush(t, c)
 
 	modes := []ann.KernelMode{ann.KernelExact, ann.KernelFast, ann.KernelFast32}
 	const perMode = 5
 	var wg sync.WaitGroup
-	errs := make(chan error, len(modes)*perMode)
+	errs := make(chan error, 1+len(modes)*perMode)
+	send := func(mode ann.KernelMode, i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := b.Encoder.EncodeIndex(i, nil)
+			wantMean := make([]float64, 1)
+			wantVar := make([]float64, 1)
+			b.Ensemble.PredictOutputVarianceBatchKernel(0, x, 1, wantMean, wantVar, mode)
+			mean, vr, err := c.predict(x, mode, cacheKey{})
+			if err != nil {
+				errs <- err
+				return
+			}
+			if mean != wantMean[0] || vr != wantVar[0] {
+				errs <- fmt.Errorf("mode %v point %d: got (%v,%v), want (%v,%v)",
+					mode, i, mean, vr, wantMean[0], wantVar[0])
+			}
+		}()
+	}
+	send(ann.KernelExact, 0)
+	<-hold.entered
 	for _, mode := range modes {
 		for i := 0; i < perMode; i++ {
-			wg.Add(1)
-			go func(mode ann.KernelMode, i int) {
-				defer wg.Done()
-				x := b.Encoder.EncodeIndex(i, nil)
-				wantMean := make([]float64, 1)
-				wantVar := make([]float64, 1)
-				b.Ensemble.PredictOutputVarianceBatchKernel(0, x, 1, wantMean, wantVar, mode)
-				mean, vr, err := c.predict(x, mode, cacheKey{})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if mean != wantMean[0] || vr != wantVar[0] {
-					errs <- fmt.Errorf("mode %v point %d: got (%v,%v), want (%v,%v)",
-						mode, i, mean, vr, wantMean[0], wantVar[0])
-				}
-			}(mode, i)
+			send(mode, i)
 		}
 	}
+	waitParked(t, 1+len(modes)*perMode)
+	hold.release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if n := hold.flushes.Load(); n != 2 {
+		t.Fatalf("%d flushes reached a kernel, want the held one plus one mixed-tier flush", n)
+	}
+	// The held flush made one exact call; the mixed one, one per tier.
+	if st := c.stats(); st.Flushes != 1+int64(len(modes)) {
+		t.Fatalf("%d kernel calls, want 1 held + %d for the mixed-tier flush", st.Flushes, len(modes))
 	}
 }
 

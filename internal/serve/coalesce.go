@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ann"
 	"repro/internal/core"
@@ -16,22 +15,14 @@ var errClosed = errors.New("serve: model closed")
 
 // CoalesceOpts tunes the request coalescer.
 type CoalesceOpts struct {
-	// MaxBatch flushes a batch once this many single-point requests are
-	// pending (default 256, half a predict chunk per flush at most).
+	// MaxBatch caps the single-point requests answered by one flush
+	// (default 256, half a predict chunk per flush at most).
 	MaxBatch int
-	// Linger is how long the dispatcher waits for more requests after
-	// the first one of a batch arrives (default 200µs). Zero keeps the
-	// default; coalescing cannot be disabled, only shortened, because a
-	// lone request still flushes after at most one linger window.
-	Linger time.Duration
 }
 
 func (o CoalesceOpts) withDefaults() CoalesceOpts {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 256
-	}
-	if o.Linger <= 0 {
-		o.Linger = 200 * time.Microsecond
 	}
 	return o
 }
@@ -66,14 +57,16 @@ type pointResp struct {
 var kernelFlushOrder = [...]ann.KernelMode{ann.KernelExact, ann.KernelFast, ann.KernelFast32}
 
 // coalescer funnels concurrent single-point predictions into batched
-// ensemble calls. Per-point HTTP traffic would otherwise pay one full
-// per-member forward pass per request; the dispatcher instead gathers
-// whatever requests arrive within one linger window (or MaxBatch,
-// whichever is first) and answers them all with batched kernel calls,
-// so serving throughput rides the same vectorized kernels as
-// candidate-pool scoring. Batching changes no bits: rows are
-// independent and the batched kernels are bit-identical to the
-// per-point path within a kernel tier.
+// ensemble calls, batching while busy: the dispatcher blocks for one
+// request, takes every request already waiting (up to MaxBatch) without
+// blocking again, and flushes at once. An idle server therefore answers
+// a lone request with one kernel call and no added wait, while under
+// load the requests that arrive during a flush's kernel call queue up
+// and form the next batch — batches grow with load, as in the dynamic
+// batching of inference servers, and serving throughput rides the same
+// vectorized kernels as candidate-pool scoring. Batching changes no
+// bits: rows are independent and the batched kernels are bit-identical
+// to the per-point path within a kernel tier.
 //
 // The coalescer is also where the prediction cache earns its
 // "coalescing-aware" label: requests whose key was filled between
@@ -89,6 +82,11 @@ type coalescer struct {
 	reqs chan pointReq
 	quit chan struct{}
 	done chan struct{}
+
+	// flushHook, when set, runs on the dispatcher before each flush's
+	// kernel calls. Nil in production; tests use it to hold a flush open
+	// while they queue the requests the next flush must batch.
+	flushHook func()
 
 	requests atomic.Int64
 	flushes  atomic.Int64
@@ -158,37 +156,23 @@ func (c *coalescer) close() {
 
 func (c *coalescer) run() {
 	defer close(c.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		select {
 		case <-c.quit:
 			return
 		case first := <-c.reqs:
 			c.batch = append(c.batch[:0], first)
-			timer.Reset(c.opts.Linger)
-		gather:
-			for len(c.batch) < c.opts.MaxBatch {
-				select {
-				case r := <-c.reqs:
-					c.batch = append(c.batch, r)
-				case <-timer.C:
-					break gather
-				case <-c.quit:
-					c.flush()
-					return
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			c.flush()
 		}
+	gather:
+		for len(c.batch) < c.opts.MaxBatch {
+			select {
+			case r := <-c.reqs:
+				c.batch = append(c.batch, r)
+			default:
+				break gather
+			}
+		}
+		c.flush()
 	}
 }
 
@@ -214,7 +198,7 @@ func (c *coalescer) flush() {
 	answered := int64(0)
 
 	// Recheck the cache at flush time: a point admitted as a miss may
-	// have been filled by an earlier flush in the same linger storm.
+	// have been filled by the previous flush while it waited in line.
 	// peek, not get — the handler already counted this request's
 	// hit/miss outcome at admission.
 	if c.cache != nil {
@@ -231,6 +215,9 @@ func (c *coalescer) flush() {
 	}
 
 	if rows := len(c.batch); rows > 0 {
+		if c.flushHook != nil {
+			c.flushHook()
+		}
 		if need := rows * c.width; cap(c.xs) < need {
 			c.xs = make([]float64, need)
 			c.mean = make([]float64, rows)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -76,7 +75,7 @@ func TestLimiterClientTableBounded(t *testing.T) {
 }
 
 func TestAdmissionRejectsWith429(t *testing.T) {
-	ts, reg, _ := newTestServer(t, CoalesceOpts{Linger: time.Millisecond})
+	ts, reg, _ := newTestServer(t, CoalesceOpts{})
 	srv := New(reg)
 	srv.SetAdmission(0.001, 1, 0) // one request, then a long refill
 	ts.Config.Handler = srv
@@ -120,32 +119,39 @@ func TestAdmissionRejectsWith429(t *testing.T) {
 }
 
 func TestAdmissionInflightBudget(t *testing.T) {
-	ts, reg, _ := newTestServer(t, CoalesceOpts{Linger: 50 * time.Millisecond})
+	ts, reg, _ := newTestServer(t, CoalesceOpts{})
 	srv := New(reg)
 	srv.SetAdmission(0, 0, 1) // no rate limit, one admitted request at a time
 	ts.Config.Handler = srv
-
-	const n = 8
-	var wg sync.WaitGroup
-	codes := make(chan int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
-				strings.NewReader(`{"model":"synth","point":1}`))
-			if err != nil {
-				codes <- -1
-				return
-			}
-			resp.Body.Close()
-			codes <- resp.StatusCode
-		}()
+	m, err := reg.Get("synth")
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	close(codes)
+	hold := holdFirstFlush(t, m.coal)
+
+	post := func() int {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
+			strings.NewReader(`{"model":"synth","point":1}`))
+		if err != nil {
+			return -1
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const n = 8
+	first := make(chan int, 1)
+	go func() { first <- post() }()
+	// The admitted request is now held inside its flush, so it owns the
+	// whole in-flight budget while the rest arrive.
+	<-hold.entered
+	codes := make([]int, 0, n)
+	for i := 1; i < n; i++ {
+		codes = append(codes, post())
+	}
+	hold.release()
+	codes = append(codes, <-first)
 	ok, rejected := 0, 0
-	for code := range codes {
+	for _, code := range codes {
 		switch code {
 		case http.StatusOK:
 			ok++
@@ -155,10 +161,11 @@ func TestAdmissionInflightBudget(t *testing.T) {
 			t.Fatalf("unexpected status %d", code)
 		}
 	}
-	// The 50ms linger holds the first admitted request in flight while
-	// the rest arrive, so at least one of each outcome is guaranteed.
 	if ok == 0 || rejected == 0 {
 		t.Fatalf("want both admitted and rejected requests, got ok=%d rejected=%d", ok, rejected)
+	}
+	if ok != 1 || rejected != n-1 {
+		t.Fatalf("held request should admit exactly one of %d, got ok=%d rejected=%d", n, ok, rejected)
 	}
 	if st := srv.adm.stats(); st.RejectedInflight != int64(rejected) {
 		t.Fatalf("counted %d in-flight rejections, observed %d", st.RejectedInflight, rejected)

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // scrape fetches /metrics and returns the body plus a flat map of
@@ -47,7 +46,7 @@ func scrape(t *testing.T, url string) (string, map[string]float64) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _, _ := newCachedServer(t, 128, CoalesceOpts{Linger: time.Millisecond})
+	ts, _, _ := newCachedServer(t, 128, CoalesceOpts{})
 	// Traffic: two identical predicts (miss then hit) and one bad
 	// request for the 4xx class.
 	postJSON(t, ts.URL+"/v1/predict", `{"model":"synth","point":5}`)

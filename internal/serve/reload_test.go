@@ -69,7 +69,7 @@ func TestReloadVersionCutover(t *testing.T) {
 
 	reg := NewRegistry()
 	reg.EnableCache(256)
-	if _, err := reg.AddFile("synth", p1, CoalesceOpts{Linger: time.Millisecond}, 0); err != nil {
+	if _, err := reg.AddFile("synth", p1, CoalesceOpts{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(New(reg))
@@ -136,7 +136,7 @@ func TestReloadUnderLoad(t *testing.T) {
 	path := writeBundle(t, b, "m.bundle.json")
 	reg := NewRegistry()
 	reg.EnableCache(128)
-	if _, err := reg.AddFile("synth", path, CoalesceOpts{Linger: time.Millisecond}, 0); err != nil {
+	if _, err := reg.AddFile("synth", path, CoalesceOpts{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(New(reg))

@@ -7,7 +7,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,6 +70,64 @@ func trainedBundle(t testing.TB) *bundle.Bundle {
 func directPredict(e *core.Ensemble, x []float64) (mean, variance float64) {
 	m, v := e.PredictOutputVarianceBatchKernel(0, x, 1, nil, nil, ann.KernelExact)
 	return m[0], v[0]
+}
+
+// flushHold holds a coalescer's first kernel-bound flush open, so the
+// requests a test sends meanwhile queue on the dispatcher's channel and
+// the next flush batches them: concurrency built deterministically.
+type flushHold struct {
+	entered chan struct{} // closed once the dispatcher is held
+	release func()        // lets the held flush run; idempotent
+	flushes atomic.Int64  // flushes that reached the hook, held one included
+}
+
+// holdFirstFlush installs the hold on c. Install it before the first
+// request: the hook is dispatcher state, published to the dispatcher
+// by the request send that first reaches it.
+func holdFirstFlush(t testing.TB, c *coalescer) *flushHold {
+	h := &flushHold{entered: make(chan struct{})}
+	gate := make(chan struct{})
+	var once sync.Once
+	h.release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(h.release) // never leave the dispatcher blocked past a failed test
+	c.flushHook = func() {
+		if h.flushes.Add(1) == 1 {
+			close(h.entered)
+			<-gate
+		}
+	}
+	return h
+}
+
+// waitParked blocks until n goroutines are parked in coalescer.predict:
+// while the dispatcher is held, that is the held request awaiting its
+// answer plus every request queued behind it. Goroutine states are the
+// proof — no sleep decides the outcome; the deadline only turns a hang
+// into a failure.
+func waitParked(t testing.TB, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	buf := make([]byte, 1<<16)
+	for {
+		nb := runtime.Stack(buf, true)
+		if nb == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		parked := 0
+		for _, g := range strings.Split(string(buf[:nb]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, ".(*coalescer).predict(") {
+				parked++
+			}
+		}
+		if parked == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines parked in coalescer.predict, want %d", parked, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // newTestServer registers one trained model under "synth" and returns
@@ -200,12 +261,17 @@ func TestVarianceEndpointMatchesBatchKernel(t *testing.T) {
 	}
 }
 
-// TestConcurrentPredictsCoalesceAndMatch floods /v1/predict from many
-// goroutines: every response must equal the in-process per-point
-// prediction, and the coalescer must have served them in fewer batched
-// flushes than requests.
+// TestConcurrentPredictsCoalesceAndMatch holds the first flush while
+// the rest of the space queues behind it: every response must equal the
+// in-process per-point prediction, and the queued requests must all
+// ride the one flush that follows the held one.
 func TestConcurrentPredictsCoalesceAndMatch(t *testing.T) {
-	ts, reg, b := newTestServer(t, CoalesceOpts{Linger: 5 * time.Millisecond})
+	ts, reg, b := newTestServer(t, CoalesceOpts{})
+	m, err := reg.Get("synth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := holdFirstFlush(t, m.coal)
 	const requests = 40 // the whole synthetic space
 	want := make([]float64, requests)
 	for i := range want {
@@ -213,9 +279,9 @@ func TestConcurrentPredictsCoalesceAndMatch(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, requests)
-	for i := 0; i < requests; i++ {
+	send := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			body := fmt.Sprintf(`{"point":%d}`, i)
 			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewBufferString(body))
@@ -236,23 +302,26 @@ func TestConcurrentPredictsCoalesceAndMatch(t *testing.T) {
 			if got := out["prediction"].(float64); got != want[i] {
 				errs <- fmt.Errorf("point %d: served %v, in-process %v", i, got, want[i])
 			}
-		}(i)
+		}()
 	}
+	send(0)
+	<-hold.entered
+	for i := 1; i < requests; i++ {
+		send(i)
+	}
+	waitParked(t, requests)
+	hold.release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatal(err)
-	}
-	m, err := reg.Get("synth")
-	if err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
 	if st.Requests != requests {
 		t.Fatalf("coalescer answered %d requests, want %d", st.Requests, requests)
 	}
-	if st.Flushes >= requests {
-		t.Fatalf("no coalescing happened: %d flushes for %d concurrent requests", st.Flushes, requests)
+	if st.Flushes > 2 {
+		t.Fatalf("queued requests were not batched: %d flushes for %d requests, want the held one plus one", st.Flushes, requests)
 	}
 	t.Logf("coalesced %d requests into %d flushes", st.Requests, st.Flushes)
 }
@@ -420,7 +489,7 @@ func TestRegistryResolution(t *testing.T) {
 // shut down cleanly.
 func TestCoalescerDirect(t *testing.T) {
 	b := trainedBundle(t)
-	c := newCoalescer(b.Ensemble, b.Encoder.Width(), CoalesceOpts{Linger: 2 * time.Millisecond, MaxBatch: 8}, nil)
+	c := newCoalescer(b.Ensemble, b.Encoder.Width(), CoalesceOpts{MaxBatch: 8}, nil)
 	const n = 24
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
