@@ -26,6 +26,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/pb"
 	"repro/internal/stats"
 	"repro/internal/studies"
@@ -335,14 +336,14 @@ func (r *runner) model(save, load string) {
 
 	fmt.Printf("== training %s / %s model (%d sims, batches of %d) ==\n", st.Name, app, cfg.End, cfg.Step)
 	oracle := experiments.NewSimOracle(st, app, cfg.TraceLen, experiments.IPCOnly)
-	ex, err := core.NewExplorer(st.Space, oracle, core.ExploreConfig{
+	ex, err := explore.New(st.Space, oracle, explore.Config{ExploreConfig: core.ExploreConfig{
 		Model:      cfg.Model,
 		BatchSize:  cfg.Step,
 		MaxSamples: cfg.End,
 		Seed:       r.seed,
-	})
+	}})
 	fatal(err)
-	ens, err := ex.Run()
+	ens, err := ex.Run(context.Background())
 	fatal(err)
 	steps := ex.Steps()
 	last := steps[len(steps)-1]

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/studies"
 )
 
@@ -39,11 +41,11 @@ func main() {
 	cfg.TargetMeanErr = 0
 	cfg.Seed = 1
 
-	ex, err := core.NewExplorer(sp, oracle, cfg)
+	ex, err := explore.New(sp, oracle, explore.Config{ExploreConfig: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ens, err := ex.Run()
+	ens, err := ex.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/studies"
 )
 
@@ -38,13 +40,13 @@ func main() {
 	cfg.TargetMeanErr = *target
 	cfg.Seed = 99
 
-	ex, err := core.NewExplorer(study.Space, oracle, cfg)
+	ex, err := explore.New(study.Space, oracle, explore.Config{ExploreConfig: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("exploring %s for %s: batches of %d until estimated error < %.1f%%\n\n",
 		study.Space.Name, *app, cfg.BatchSize, *target)
-	ens, err := ex.Run()
+	ens, err := ex.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +79,9 @@ func main() {
 		fmt.Printf("  point %5d: IPC %.3f/%.3f   L2miss %.3f/%.3f   brMis %.4f/%.4f  (pred/sim)\n",
 			idx, pred[0], r.IPC, pred[1], r.L2MissRate, pred[2], r.BrMispredRate)
 	}
-	fmt.Printf("\ntotal simulations: %d of %d points (%.2f%%)\n",
+	// SimulationsRun also counts a speculative batch the driver simulated
+	// ahead and discarded once the error target was met.
+	fmt.Printf("\ntotal simulations: %d of %d points (%.2f%%), %d trained on\n",
 		oracle.SimulationsRun(), study.Space.Size(),
-		100*float64(oracle.SimulationsRun())/float64(study.Space.Size()))
+		100*float64(oracle.SimulationsRun())/float64(study.Space.Size()), final.Samples)
 }

@@ -6,7 +6,7 @@
 //
 //  1. define the design space            (studies.MemorySystem)
 //  2. simulate random batches of points  (experiments.SimOracle)
-//  3. train a 10-fold CV ANN ensemble    (core.Explorer)
+//  3. train a 10-fold CV ANN ensemble    (explore.Driver)
 //  4. read the error estimate the model computes about itself
 //  5. predict unsimulated points and check against the simulator
 //
@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/stats"
 	"repro/internal/studies"
 )
@@ -43,14 +45,14 @@ func main() {
 	cfg.TargetMeanErr = 0 // run the full budget; we stop by sample count
 	cfg.Seed = 42
 
-	ex, err := core.NewExplorer(study.Space, oracle, cfg)
+	ex, err := explore.New(study.Space, oracle, explore.Config{ExploreConfig: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\ntraining on batches of %d simulations of %s:\n", cfg.BatchSize, *app)
 	start := time.Now()
-	ens, err := ex.Run()
+	ens, err := ex.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,12 +8,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/simpoint"
 	"repro/internal/stats"
 	"repro/internal/studies"
@@ -51,11 +53,11 @@ func main() {
 	cfg.MaxSamples = *samples
 	cfg.TargetMeanErr = 0
 	cfg.Seed = 5
-	ex, err := core.NewExplorer(study.Space, spOracle, cfg)
+	ex, err := explore.New(study.Space, spOracle, explore.Config{ExploreConfig: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ens, err := ex.Run()
+	ens, err := ex.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

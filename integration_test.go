@@ -2,17 +2,19 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/experiments"
+	"repro/internal/explore"
 	"repro/internal/studies"
 )
 
 // TestEndToEndExploration runs the complete paper pipeline on a small
-// budget: design space → simulation oracle → incremental explorer →
+// budget: design space → simulation oracle → exploration driver →
 // ensemble → predictions on unseen points, asserting the three
 // properties the paper claims: the model learns, the self-estimate
 // tracks true error, and everything is deterministic.
@@ -32,11 +34,11 @@ func TestEndToEndExploration(t *testing.T) {
 		MaxSamples: 225,
 		Seed:       1234,
 	}
-	ex, err := core.NewExplorer(st.Space, oracle, cfg)
+	ex, err := explore.New(st.Space, oracle, explore.Config{ExploreConfig: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens, err := ex.Run()
+	ens, err := ex.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +113,11 @@ func TestDeterministicPipeline(t *testing.T) {
 		model.Train.MaxEpochs = 80
 		model.Train.Patience = 20
 		cfg := core.ExploreConfig{Model: model, BatchSize: 60, MaxSamples: 60, Seed: 77}
-		ex, err := core.NewExplorer(st.Space, oracle, cfg)
+		ex, err := explore.New(st.Space, oracle, explore.Config{ExploreConfig: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ens, err := ex.Run()
+		ens, err := ex.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

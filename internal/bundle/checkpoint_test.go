@@ -21,18 +21,13 @@ func fastModel() core.ModelConfig {
 	return cfg
 }
 
-// explorerCheckpoint runs a short sequential exploration and snapshots
-// it by hand, standing in for the pipelined driver's own snapshots.
-func explorerCheckpoint(t *testing.T) *Checkpoint {
+// trainedCheckpoint trains one ensemble on a fixed sample and wraps it
+// in a hand-built checkpoint: one completed round, one quarantined
+// point, and an exclusion list, standing in for the exploration
+// driver's own snapshots.
+func trainedCheckpoint(t *testing.T) *Checkpoint {
 	t.Helper()
 	sp := testSpace()
-	oracle := core.OracleFunc(func(indices []int) ([][]float64, error) {
-		out := make([][]float64, len(indices))
-		for i, idx := range indices {
-			out[i] = []float64{testTarget(sp, idx)}
-		}
-		return out, nil
-	})
 	cfg := core.ExploreConfig{
 		Model:      fastModel(),
 		BatchSize:  15,
@@ -40,43 +35,40 @@ func explorerCheckpoint(t *testing.T) *Checkpoint {
 		Exclude:    []int{0, 1, 2},
 		Seed:       7,
 	}
-	ex, err := core.NewExplorer(sp, oracle, cfg)
+	// Every other point from 3 on: clear of Exclude, spread over the
+	// space, and leaving point 4 free to quarantine.
+	var idxs []int
+	var inputs, targets [][]float64
+	enc := encoding.NewEncoder(sp)
+	for idx := 3; len(idxs) < cfg.MaxSamples; idx += 2 {
+		idxs = append(idxs, idx)
+		inputs = append(inputs, enc.EncodeIndex(idx, nil))
+		targets = append(targets, []float64{testTarget(sp, idx)})
+	}
+	ens, err := core.TrainEnsemble(inputs, targets, cfg.RoundModel(len(idxs)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	idxs := ex.Samples()
-	targets := make([][]float64, len(idxs))
-	taken := map[int]bool{0: true, 1: true, 2: true}
-	for i, idx := range idxs {
-		targets[i] = []float64{testTarget(sp, idx)}
-		taken[idx] = true
-	}
-	quarantined := -1
-	for idx := 0; idx < sp.Size(); idx++ {
-		if !taken[idx] {
-			quarantined = idx
-			break
-		}
-	}
 	return &Checkpoint{
-		Space:      sp,
-		Encoder:    encoding.NewEncoder(sp),
-		Config:     cfg,
-		RNG:        stats.NewRNG(99).State(),
-		Indices:    idxs,
-		Targets:    targets,
-		Steps:      ex.Steps(),
-		Quarantine: []QuarantinedPoint{{Index: quarantined, Attempts: 2, Error: "synthetic failure"}},
-		Ensemble:   ex.Ensemble(),
+		Space:   sp,
+		Encoder: enc,
+		Config:  cfg,
+		RNG:     stats.NewRNG(99).State(),
+		Indices: idxs,
+		Targets: targets,
+		Steps: []core.Step{{
+			Samples:  len(idxs),
+			Fraction: float64(len(idxs)) / float64(sp.Size()),
+			Est:      ens.Estimate(),
+		}},
+		Quarantine: []QuarantinedPoint{{Index: 4, Attempts: 2, Error: "synthetic failure"}},
+		Ensemble:   ens,
 		Meta:       Meta{Study: "synth", App: "none", Metric: "IPC", TraceLen: 1000},
 	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	cp := explorerCheckpoint(t)
+	cp := trainedCheckpoint(t)
 	var buf bytes.Buffer
 	if err := cp.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -121,7 +113,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointWriteFileAtomicRoundTrip(t *testing.T) {
-	cp := explorerCheckpoint(t)
+	cp := trainedCheckpoint(t)
 	path := filepath.Join(t.TempDir(), "run.checkpoint")
 	if err := cp.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -165,7 +157,7 @@ func corrupt(t *testing.T, cp *Checkpoint, f func(doc map[string]any)) error {
 }
 
 func TestCheckpointLoadRejectsCorruption(t *testing.T) {
-	cp := explorerCheckpoint(t)
+	cp := trainedCheckpoint(t)
 	cases := map[string]func(doc map[string]any){
 		"future version":   func(d map[string]any) { d["version"] = CheckpointVersion + 1 },
 		"zero rng":         func(d map[string]any) { d["rng"] = []int{0, 0, 0, 0} },

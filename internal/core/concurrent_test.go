@@ -97,24 +97,6 @@ func TestConcurrentBatchAndPointPredict(t *testing.T) {
 	}
 }
 
-func TestExplorerRejectsOutOfRangeExclude(t *testing.T) {
-	sp := synthSpace()
-	oracle := &synthOracle{sp: sp}
-	base := ExploreConfig{Model: fastModel(), BatchSize: 10, MaxSamples: 20}
-	for _, bad := range []int{-1, sp.Size(), sp.Size() + 17} {
-		cfg := base
-		cfg.Exclude = []int{0, bad}
-		if _, err := NewExplorer(sp, oracle, cfg); err == nil {
-			t.Fatalf("NewExplorer accepted out-of-range Exclude index %d", bad)
-		}
-	}
-	cfg := base
-	cfg.Exclude = []int{0, sp.Size() - 1}
-	if _, err := NewExplorer(sp, oracle, cfg); err != nil {
-		t.Fatalf("NewExplorer rejected valid Exclude indices: %v", err)
-	}
-}
-
 // TestSensitivityDegenerateAxes trains a linear-target model on
 // all-negative targets, so every swept minimum is ≤ 0 and no axis can
 // measure a percentage swing: axes must be flagged Degenerate rather

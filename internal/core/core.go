@@ -10,10 +10,12 @@
 //     all members; the pooled test-fold percentage errors estimate the
 //     model's mean error and its standard deviation over the full
 //     design space (§3.2, §5.2).
-//   - Explorer — the incremental procedure of §3.3 (steps 1–8): sample a
-//     batch of design points, simulate them, train an ensemble, read the
-//     cross-validation error estimate, and repeat until the estimate
-//     falls below the architect's threshold.
+//   - ExploreConfig and BatchSelector — the parameters and the batch
+//     selection of the incremental procedure of §3.3 (steps 1–8):
+//     sample a batch of design points, simulate them, train an
+//     ensemble, read the cross-validation error estimate, and repeat
+//     until the estimate falls below the architect's threshold. The
+//     loop itself is explore.Driver.
 //   - SelectVariance — the active-learning extension sketched in
 //     Chapter 7: instead of random batches, pick the candidate points on
 //     which the ensemble members disagree most.

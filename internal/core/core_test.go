@@ -1,11 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/ann"
+	"repro/internal/encoding"
 	"repro/internal/space"
 	"repro/internal/stats"
 )
@@ -35,23 +35,9 @@ func synthTarget(sp *space.Space, idx int) float64 {
 	return v
 }
 
-// synthOracle evaluates synthTarget, counting calls.
-type synthOracle struct {
-	sp    *space.Space
-	calls int
-	fail  bool
-}
-
-func (o *synthOracle) Evaluate(indices []int) ([][]float64, error) {
-	if o.fail {
-		return nil, fmt.Errorf("synthetic oracle failure")
-	}
-	out := make([][]float64, len(indices))
-	for i, idx := range indices {
-		o.calls++
-		out[i] = []float64{synthTarget(o.sp, idx)}
-	}
-	return out, nil
+// newTestEncoder centralizes encoder construction for core tests.
+func newTestEncoder(sp *space.Space) *encoding.Encoder {
+	return encoding.NewEncoder(sp)
 }
 
 func fastModel() ModelConfig {
@@ -80,6 +66,33 @@ func TestModelConfigValidate(t *testing.T) {
 	bad.LearningRate = 0
 	if bad.Validate() == nil {
 		t.Fatal("zero learning rate accepted")
+	}
+}
+
+func TestExploreConfigValidation(t *testing.T) {
+	sp := synthSpace()
+	if err := (ExploreConfig{Model: fastModel(), BatchSize: 0, MaxSamples: 10}).Validate(sp); err == nil {
+		t.Fatal("zero batch accepted")
+	}
+	if err := (ExploreConfig{Model: fastModel(), BatchSize: 20, MaxSamples: 10}).Validate(sp); err == nil {
+		t.Fatal("MaxSamples below one batch accepted")
+	}
+}
+
+func TestExploreConfigRejectsOutOfRangeExclude(t *testing.T) {
+	sp := synthSpace()
+	base := ExploreConfig{Model: fastModel(), BatchSize: 10, MaxSamples: 20}
+	for _, bad := range []int{-1, sp.Size(), sp.Size() + 17} {
+		cfg := base
+		cfg.Exclude = []int{0, bad}
+		if err := cfg.Validate(sp); err == nil {
+			t.Fatalf("Validate accepted out-of-range Exclude index %d", bad)
+		}
+	}
+	cfg := base
+	cfg.Exclude = []int{0, sp.Size() - 1}
+	if err := cfg.Validate(sp); err != nil {
+		t.Fatalf("Validate rejected valid Exclude indices: %v", err)
 	}
 }
 

@@ -10,13 +10,14 @@ import (
 	"repro/internal/stats"
 )
 
-// BatchSelector implements the explorer's batch-selection strategies
-// over one design space, tracking which points remain drawable. It is
-// shared by the sequential core.Explorer and the pipelined
-// explore.Driver so that both consume the RNG in exactly the same
-// order — the property the driver's deterministic-parity tests rely
-// on. It is not safe for concurrent use; the driver serializes
-// selection on its orchestration goroutine.
+// BatchSelector implements the exploration loop's batch-selection
+// strategies over one design space, tracking which points remain
+// drawable. explore.Driver draws every batch through it, and the
+// driver's parity tests replay the same draws in a plain sequential
+// loop, so the RNG is consumed in exactly the same order by both — the
+// property checkpoint resume and the parity tests rely on. It is not
+// safe for concurrent use; the driver serializes selection on its
+// orchestration goroutine.
 type BatchSelector struct {
 	sp       *space.Space
 	enc      *encoding.Encoder

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/stats"
 )
 
@@ -267,6 +269,56 @@ func TestRandomDrainsExhaustedPool(t *testing.T) {
 	}
 	if got := s.Random(3); got != nil {
 		t.Fatalf("exhausted pool returned %v", got)
+	}
+}
+
+// TestVarianceSelectionPrefersUncertainPoints scores every drawable
+// point (the pool covers the whole complement) and checks that
+// ByVariance returns distinct, unreserved points on which the ensemble
+// disagrees at least as much as on any point it passed over.
+func TestVarianceSelectionPrefersUncertainPoints(t *testing.T) {
+	sp := synthSpace()
+	enc := newTestEncoder(sp)
+	train := sp.Sample(stats.NewRNG(5), 40)
+	x := make([][]float64, len(train))
+	y := make([][]float64, len(train))
+	for i, idx := range train {
+		x[i] = enc.EncodeIndex(idx, nil)
+		y[i] = []float64{synthTarget(sp, idx)}
+	}
+	cfg := fastModel()
+	cfg.Train.MaxEpochs = 120
+	cfg.Train.Patience = 25
+	ens, err := TrainEnsemble(x, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewBatchSelector(sp, enc, stats.NewRNG(6))
+	for _, idx := range train {
+		s.Reserve(idx)
+	}
+	const n = 20
+	picked := s.ByVariance(ens, n, sp.Size())
+	if len(picked) != n {
+		t.Fatalf("ByVariance picked %d points, want %d", len(picked), n)
+	}
+	variance := func(idx int) float64 {
+		_, v := ens.PredictOutputVarianceBatchKernel(0, enc.EncodeIndex(idx, nil), 1, nil, nil, ann.KernelExact)
+		return v[0]
+	}
+	chosen := map[int]bool{}
+	minPicked := math.Inf(1)
+	for _, idx := range picked {
+		if chosen[idx] || s.IsReserved(idx) {
+			t.Fatalf("ByVariance returned point %d twice or from the reserved set", idx)
+		}
+		chosen[idx] = true
+		minPicked = math.Min(minPicked, variance(idx))
+	}
+	for idx := 0; idx < sp.Size(); idx++ {
+		if !chosen[idx] && !s.IsReserved(idx) && variance(idx) > minPicked {
+			t.Fatalf("unpicked point %d has variance %g above the picked minimum %g", idx, variance(idx), minPicked)
+		}
 	}
 }
 

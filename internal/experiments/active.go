@@ -14,7 +14,7 @@ type ActivePoint struct {
 }
 
 // ActiveLearning runs the active-learning ablation on one (study, app)
-// pair: two explorers share one evaluation set and per-round budgets;
+// pair: two exploration drivers share one evaluation set and per-round budgets;
 // one samples randomly (the paper's procedure), the other queries the
 // points its current ensemble is least certain about.
 func ActiveLearning(study *studies.Study, app string, cfg CurveConfig) ([]ActivePoint, error) {

@@ -57,47 +57,17 @@ var acquireSpecs = []string{
 	"hvi:max=out0:min=out1:out0>=0.8",
 }
 
-func dualExplorerState(t *testing.T, cfg core.ExploreConfig) runState {
-	t.Helper()
-	sp := synthSpace()
-	ex, err := core.NewExplorer(sp, &dualOracle{sp: sp}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return runState{samples: ex.Samples(), steps: stripTimes(ex.Steps()), ens: ensembleBytes(t, ex.Ensemble())}
-}
-
-func dualDriverState(t *testing.T, cfg core.ExploreConfig, pipe Pipeline) runState {
-	t.Helper()
-	sp := synthSpace()
-	d, err := New(sp, &dualOracle{sp: sp}, Config{ExploreConfig: cfg, Pipeline: pipe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	return runState{samples: d.Samples(), steps: stripTimes(d.Steps()), ens: ensembleBytes(t, d.Ensemble())}
-}
-
-// TestDriverMatchesExplorerUnderAcquisition is the acquisition
-// determinism guarantee, mirroring TestDriverMatchesSequentialExplorer:
-// for every strategy and every worker count, the pipelined driver
-// reproduces the sequential reference loop's exact sample order, step
-// history and final ensemble weights.
-func TestDriverMatchesExplorerUnderAcquisition(t *testing.T) {
+// TestDriverMatchesReferenceUnderAcquisition is the acquisition
+// determinism guarantee, mirroring TestDriverMatchesSequentialReference:
+// for every strategy and every pipeline setting, the driver reproduces
+// the sequential reference loop's exact sample order, step history and
+// final ensemble weights.
+func TestDriverMatchesReferenceUnderAcquisition(t *testing.T) {
 	for _, spec := range acquireSpecs {
 		cfg := acquireCfg(t, spec)
-		want := dualExplorerState(t, cfg)
-		for label, pipe := range map[string]Pipeline{
-			"workers=1":  {Workers: -1},
-			"workers=4":  {Workers: 4},
-			"workers=16": {Workers: 16},
-		} {
-			requireSameRun(t, spec+" "+label, dualDriverState(t, cfg, pipe), want)
+		want := sequentialReference(t, dual, cfg)
+		for label, pipe := range parityPipelines {
+			requireSameRun(t, spec+" "+label, runDriver(t, dual, cfg, pipe), want)
 		}
 	}
 }
@@ -110,7 +80,7 @@ func TestDriverMatchesExplorerUnderAcquisition(t *testing.T) {
 func TestKillResumeAcquisitionBitIdentical(t *testing.T) {
 	for _, spec := range acquireSpecs {
 		cfg := acquireCfg(t, spec)
-		want := dualDriverState(t, cfg, Pipeline{Workers: 2})
+		want := runDriver(t, dual, cfg, Pipeline{Workers: 2})
 
 		path := filepath.Join(t.TempDir(), "run.checkpoint")
 		sp := synthSpace()
@@ -144,8 +114,7 @@ func TestKillResumeAcquisitionBitIdentical(t *testing.T) {
 		if _, err := resumed.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		got := runState{samples: resumed.Samples(), steps: stripTimes(resumed.Steps()), ens: ensembleBytes(t, resumed.Ensemble())}
-		requireSameRun(t, spec+" kill/resume", got, want)
+		requireSameRun(t, spec+" kill/resume", stateOf(t, resumed), want)
 	}
 }
 

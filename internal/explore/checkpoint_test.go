@@ -11,21 +11,6 @@ import (
 	"repro/internal/core"
 )
 
-// uninterrupted runs a checkpointing driver to completion and returns
-// its final state.
-func uninterrupted(t *testing.T, cfg core.ExploreConfig, pipe Pipeline) runState {
-	t.Helper()
-	sp := synthSpace()
-	d, err := New(sp, &synthOracle{sp: sp}, Config{ExploreConfig: cfg, Pipeline: pipe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	return runState{samples: d.Samples(), steps: stripTimes(d.Steps()), ens: ensembleBytes(t, d.Ensemble())}
-}
-
 // TestKillBetweenRoundsResumeBitIdentical kills a run at a round
 // boundary (cancel fired from the OnStep observer) and resumes it from
 // the checkpoint file: the continued run must reproduce the
@@ -34,7 +19,7 @@ func uninterrupted(t *testing.T, cfg core.ExploreConfig, pipe Pipeline) runState
 func TestKillBetweenRoundsResumeBitIdentical(t *testing.T) {
 	cfg := exploreCfg(core.SelectRandom)
 	cfg.MaxSamples = 45 // three rounds
-	want := uninterrupted(t, cfg, Pipeline{Workers: 2})
+	want := runDriver(t, synth, cfg, Pipeline{Workers: 2})
 
 	path := filepath.Join(t.TempDir(), "run.checkpoint")
 	sp := synthSpace()
@@ -65,8 +50,7 @@ func TestKillBetweenRoundsResumeBitIdentical(t *testing.T) {
 	if _, err := resumed.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	got := runState{samples: resumed.Samples(), steps: stripTimes(resumed.Steps()), ens: ensembleBytes(t, resumed.Ensemble())}
-	requireSameRun(t, "kill/resume at round boundary", got, want)
+	requireSameRun(t, "kill/resume at round boundary", stateOf(t, resumed), want)
 
 	// The checkpoint kept rolling forward during the resumed run: a
 	// second resume from the final file must land on the same state
@@ -87,7 +71,7 @@ func TestKillBetweenRoundsResumeBitIdentical(t *testing.T) {
 func TestKillMidRoundResumeBitIdentical(t *testing.T) {
 	cfg := exploreCfg(core.SelectRandom)
 	cfg.MaxSamples = 45
-	want := uninterrupted(t, cfg, Pipeline{Workers: 2})
+	want := runDriver(t, synth, cfg, Pipeline{Workers: 2})
 
 	path := filepath.Join(t.TempDir(), "run.checkpoint")
 	sp := synthSpace()
@@ -117,8 +101,7 @@ func TestKillMidRoundResumeBitIdentical(t *testing.T) {
 	if _, err := resumed.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	got := runState{samples: resumed.Samples(), steps: stripTimes(resumed.Steps()), ens: ensembleBytes(t, resumed.Ensemble())}
-	requireSameRun(t, "kill/resume mid-round", got, want)
+	requireSameRun(t, "kill/resume mid-round", stateOf(t, resumed), want)
 	if q := resumed.Quarantined(); len(q) != 0 {
 		t.Fatalf("mid-round kill leaked quarantine entries into the resumed run: %v", q)
 	}
@@ -186,7 +169,7 @@ func TestResumeOfTargetMetRunFinishesImmediately(t *testing.T) {
 	if _, err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want := runState{samples: d.Samples(), steps: stripTimes(d.Steps()), ens: ensembleBytes(t, d.Ensemble())}
+	want := stateOf(t, d)
 
 	oracle := &synthOracle{sp: synthSpace()}
 	resumed, err := ResumeFile(path, oracle, Pipeline{})
@@ -199,8 +182,7 @@ func TestResumeOfTargetMetRunFinishesImmediately(t *testing.T) {
 	if got := oracle.evaluations(); got != 0 {
 		t.Fatalf("resuming a finished run simulated %d extra points", got)
 	}
-	got := runState{samples: resumed.Samples(), steps: stripTimes(resumed.Steps()), ens: ensembleBytes(t, resumed.Ensemble())}
-	requireSameRun(t, "resume of finished run", got, want)
+	requireSameRun(t, "resume of finished run", stateOf(t, resumed), want)
 }
 
 // TestStepSkipsTrainingOnFullyQuarantinedBatch guards the durable-curve

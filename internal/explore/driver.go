@@ -1,5 +1,5 @@
-// Package explore is the pipelined exploration engine: the paper's
-// §3.3 simulate→train→estimate loop (core.Explorer) decomposed into
+// Package explore is the exploration loop: the paper's §3.3
+// select→simulate→train→estimate procedure, decomposed into
 // overlapping stages that are durable, concurrent and cancellable.
 //
 //   - Oracle evaluation fans each batch out over a worker pool,
@@ -22,10 +22,10 @@
 //     bundle.Checkpoint — kill the process anywhere and Resume
 //     reproduces the uninterrupted run bit-identically.
 //
-// The sequential core.Explorer remains as the compatibility shim and
-// the reference this engine's deterministic-parity tests compare
-// against; CLI tools, experiments and the HTTP job API (internal/serve)
-// all run on the driver.
+// Every caller — CLI tools, examples, experiments and the HTTP job API
+// (internal/serve) — runs on the driver. Its parity tests compare it
+// against a plain sequential loop over core.BatchSelector and
+// core.TrainEnsemble.
 package explore
 
 import (
@@ -306,8 +306,8 @@ func (d *Driver) targetMet() bool {
 // Step runs one synchronous round growing the pool by up to n points —
 // the incremental API the learning-curve experiments script against.
 // Unlike Run it always trains, even when the batch came back smaller
-// than asked (quarantine) — matching the sequential Grow+TrainRound
-// contract.
+// than asked (quarantine), so each call that adds points records
+// exactly one round.
 func (d *Driver) Step(ctx context.Context, n int) error {
 	if n > 0 {
 		batch, err := d.selectBatch(n)

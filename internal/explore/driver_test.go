@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/encoding"
 	"repro/internal/space"
 )
 
@@ -123,23 +124,90 @@ func stripTimes(steps []core.Step) []core.Step {
 	return out
 }
 
-func explorerState(t *testing.T, cfg core.ExploreConfig) runState {
+// stateOf captures a finished driver's run.
+func stateOf(t *testing.T, d *Driver) runState {
 	t.Helper()
-	sp := synthSpace()
-	ex, err := core.NewExplorer(sp, &synthOracle{sp: sp}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return runState{samples: ex.Samples(), steps: stripTimes(ex.Steps()), ens: ensembleBytes(t, ex.Ensemble())}
+	return runState{samples: d.Samples(), steps: stripTimes(d.Steps()), ens: ensembleBytes(t, d.Ensemble())}
 }
 
-func driverState(t *testing.T, cfg core.ExploreConfig, pipe Pipeline) runState {
+// synth and dual build the single- and two-metric test oracles.
+func synth(sp *space.Space) core.Oracle { return &synthOracle{sp: sp} }
+func dual(sp *space.Space) core.Oracle  { return &dualOracle{sp: sp} }
+
+// sequentialReference is the §3.3 procedure written the naive way, the
+// reference the driver's parity tests compare against: each round
+// selects a batch through core.BatchSelector, blocks on one oracle call
+// for the whole batch, then trains with core.TrainEnsemble — no
+// fan-out, no speculation, no retries, no checkpoints.
+func sequentialReference(t *testing.T, newOracle func(*space.Space) core.Oracle, cfg core.ExploreConfig) runState {
 	t.Helper()
 	sp := synthSpace()
-	d, err := New(sp, &synthOracle{sp: sp}, Config{ExploreConfig: cfg, Pipeline: pipe})
+	oracle := newOracle(sp)
+	enc := encoding.NewEncoder(sp)
+	sel := core.NewBatchSelector(sp, enc, cfg.SeedRNG())
+	for _, idx := range cfg.Exclude {
+		sel.Reserve(idx)
+	}
+	var acq core.Acquirer
+	if cfg.Acquire != nil {
+		var err error
+		if acq, err = core.NewAcquirer(cfg.Acquire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var st runState
+	var inputs, targets [][]float64
+	var ens *core.Ensemble
+	for len(st.samples) < cfg.MaxSamples {
+		n := min(cfg.BatchSize, cfg.MaxSamples-len(st.samples))
+		var batch []int
+		var err error
+		switch {
+		case acq != nil && ens != nil:
+			batch, err = sel.Acquire(acq, ens, inputs, n, cfg.CandidatePool)
+		case cfg.Strategy == core.SelectVariance && ens != nil:
+			batch = sel.ByVariance(ens, n, cfg.CandidatePool)
+		default:
+			batch = sel.Random(n)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) == 0 {
+			break
+		}
+		ys, err := oracle.Evaluate(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, idx := range batch {
+			sel.Reserve(idx)
+			st.samples = append(st.samples, idx)
+			inputs = append(inputs, enc.EncodeIndex(idx, nil))
+			targets = append(targets, ys[i])
+		}
+		if ens, err = core.TrainEnsemble(inputs, targets, cfg.RoundModel(len(st.samples))); err != nil {
+			t.Fatal(err)
+		}
+		st.steps = append(st.steps, core.Step{
+			Samples:  len(st.samples),
+			Fraction: float64(len(st.samples)) / float64(sp.Size()),
+			Est:      ens.Estimate(),
+		})
+		if cfg.TargetMeanErr > 0 && ens.Estimate().MeanErr <= cfg.TargetMeanErr {
+			break
+		}
+	}
+	st.ens = ensembleBytes(t, ens)
+	return st
+}
+
+// runDriver runs a fresh driver over synthSpace to completion with a
+// healthy oracle, which must leave nothing quarantined.
+func runDriver(t *testing.T, newOracle func(*space.Space) core.Oracle, cfg core.ExploreConfig, pipe Pipeline) runState {
+	t.Helper()
+	sp := synthSpace()
+	d, err := New(sp, newOracle(sp), Config{ExploreConfig: cfg, Pipeline: pipe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +217,7 @@ func driverState(t *testing.T, cfg core.ExploreConfig, pipe Pipeline) runState {
 	if q := d.Quarantined(); len(q) != 0 {
 		t.Fatalf("deterministic oracle produced quarantine: %v", q)
 	}
-	return runState{samples: d.Samples(), steps: stripTimes(d.Steps()), ens: ensembleBytes(t, d.Ensemble())}
+	return stateOf(t, d)
 }
 
 func requireSameRun(t *testing.T, label string, got, want runState) {
@@ -176,34 +244,34 @@ func requireSameRun(t *testing.T, label string, got, want runState) {
 	}
 }
 
-// TestDriverMatchesSequentialExplorer is the tentpole's deterministic-
-// parity guarantee: for every pipeline setting — one worker, many
-// workers, speculation on or off — the driver reproduces the sequential
-// core.Explorer's exact sample order, step history and ensemble
+// parityPipelines are the pipeline settings every parity test runs:
+// the sequential setting and workers {1, 4, 16}.
+var parityPipelines = map[string]Pipeline{
+	"sequential":          {Workers: -1, Sequential: true},
+	"workers=1":           {Workers: -1},
+	"workers=4":           {Workers: 4},
+	"workers=16 no-retry": {Workers: 16, Retries: -1},
+}
+
+// TestDriverMatchesSequentialReference is the deterministic-parity
+// guarantee: for every pipeline setting — one worker, many workers,
+// speculation on or off — the driver reproduces the sequential
+// reference loop's exact sample order, step history and ensemble
 // weights. The pipeline may only change wall-clock time.
-func TestDriverMatchesSequentialExplorer(t *testing.T) {
+func TestDriverMatchesSequentialReference(t *testing.T) {
 	cfg := exploreCfg(core.SelectRandom)
-	want := explorerState(t, cfg)
-	pipelines := map[string]Pipeline{
-		"workers=1 sequential": {Workers: -1, Sequential: true},
-		"workers=1 overlapped": {Workers: -1},
-		"workers=4 overlapped": {Workers: 4},
-		"workers=16 no-retry":  {Workers: 16, Retries: -1},
-	}
-	for label, pipe := range pipelines {
-		requireSameRun(t, label, driverState(t, cfg, pipe), want)
+	want := sequentialReference(t, synth, cfg)
+	for label, pipe := range parityPipelines {
+		requireSameRun(t, label, runDriver(t, synth, cfg, pipe), want)
 	}
 }
 
-func TestDriverMatchesExplorerUnderVarianceSelection(t *testing.T) {
+func TestDriverMatchesReferenceUnderVarianceSelection(t *testing.T) {
 	cfg := exploreCfg(core.SelectVariance)
 	cfg.CandidatePool = 60
-	want := explorerState(t, cfg)
-	for label, pipe := range map[string]Pipeline{
-		"workers=1": {Workers: -1},
-		"workers=4": {Workers: 4},
-	} {
-		requireSameRun(t, label, driverState(t, cfg, pipe), want)
+	want := sequentialReference(t, synth, cfg)
+	for label, pipe := range parityPipelines {
+		requireSameRun(t, label, runDriver(t, synth, cfg, pipe), want)
 	}
 }
 
@@ -275,7 +343,7 @@ func TestDriverQuarantinesFailingPoints(t *testing.T) {
 
 func TestDriverRetriesTransientFailures(t *testing.T) {
 	cfg := exploreCfg(core.SelectRandom)
-	want := explorerState(t, cfg)
+	want := sequentialReference(t, synth, cfg)
 	sp := synthSpace()
 	// Every point fails exactly once, then succeeds: one retry must
 	// make the run indistinguishable from a healthy oracle's.
@@ -295,46 +363,175 @@ func TestDriverRetriesTransientFailures(t *testing.T) {
 	if q := d.Quarantined(); len(q) != 0 {
 		t.Fatalf("transient failures quarantined despite retry budget: %v", q)
 	}
-	got := runState{samples: d.Samples(), steps: stripTimes(d.Steps()), ens: ensembleBytes(t, d.Ensemble())}
-	requireSameRun(t, "retried run", got, want)
+	requireSameRun(t, "retried run", stateOf(t, d), want)
+}
+
+// malformedOracle answers synthTarget but breaks the oracle contract
+// for the points bad selects: a short reply, an empty vector, a
+// non-finite value, or a target width that disagrees with the rest of
+// the run.
+func malformedOracle(sp *space.Space, mode string, bad func(int) bool) core.Oracle {
+	return core.OracleFunc(func(indices []int) ([][]float64, error) {
+		out := make([][]float64, 0, len(indices))
+		for _, idx := range indices {
+			v := []float64{synthTarget(sp, idx)}
+			if bad(idx) {
+				switch mode {
+				case "short":
+					continue
+				case "empty":
+					v = nil
+				case "nan":
+					v = []float64{math.NaN()}
+				case "inf":
+					v = []float64{math.Inf(1)}
+				case "width":
+					v = []float64{1, 2}
+				}
+			}
+			out = append(out, v)
+		}
+		return out, nil
+	})
 }
 
 func TestDriverMalformedTargetsQuarantineNotAbort(t *testing.T) {
 	sp := synthSpace()
-	oracle := &synthOracle{sp: sp}
-	// Oracle wrapper returning NaN for points divisible by 11.
-	wrapped := core.OracleFunc(func(indices []int) ([][]float64, error) {
-		out, err := oracle.Evaluate(indices)
-		if err != nil {
-			return nil, err
-		}
-		for i, idx := range indices {
-			if idx%11 == 0 {
-				out[i] = []float64{math.NaN()}
-			}
-		}
-		return out, nil
-	})
 	cfg := exploreCfg(core.SelectRandom)
-	d, err := New(sp, wrapped, Config{ExploreConfig: cfg, Pipeline: Pipeline{Retries: -1}})
+	// Corrupt two points of the first batch, replayed from the same
+	// selection stream. Its first point stays healthy: it establishes
+	// the run's target width, so the width row means drift.
+	batch := core.NewBatchSelector(sp, encoding.NewEncoder(sp), cfg.SeedRNG()).Random(cfg.BatchSize)
+	bad := func(idx int) bool { return idx == batch[1] || idx == batch[len(batch)/2] }
+	for _, mode := range []string{"nan", "inf", "empty", "width", "short"} {
+		t.Run(mode, func(t *testing.T) {
+			d, err := New(sp, malformedOracle(sp, mode, bad), Config{ExploreConfig: cfg, Pipeline: Pipeline{Retries: -1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Run(context.Background()); err != nil {
+				t.Fatalf("malformed replies must not abort the run: %v", err)
+			}
+			q := d.Quarantined()
+			if len(q) != 2 {
+				t.Fatalf("%d points quarantined, want the 2 malformed ones: %v", len(q), q)
+			}
+			for _, p := range q {
+				if !bad(p.Index) {
+					t.Fatalf("healthy point %d quarantined: %s", p.Index, p.Error)
+				}
+				if want := fmt.Sprintf("design point %d", p.Index); !strings.Contains(p.Error, want) {
+					t.Fatalf("quarantine error %q does not name %q", p.Error, want)
+				}
+			}
+			for _, idx := range d.Samples() {
+				if bad(idx) {
+					t.Fatalf("malformed point %d entered the training pool", idx)
+				}
+			}
+			if got := len(d.Samples()); got != cfg.MaxSamples {
+				t.Fatalf("run finished with %d samples, want the full budget %d", got, cfg.MaxSamples)
+			}
+		})
+	}
+}
+
+func TestDriverRunsIncrementally(t *testing.T) {
+	sp := synthSpace()
+	oracle := &synthOracle{sp: sp}
+	cfg := exploreCfg(core.SelectRandom)
+	cfg.BatchSize, cfg.MaxSamples = 20, 60
+	d, err := New(sp, oracle, Config{ExploreConfig: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range d.Quarantined() {
-		if p.Index%11 != 0 {
-			t.Fatalf("healthy point %d quarantined: %s", p.Index, p.Error)
-		}
-		if want := fmt.Sprintf("design point %d", p.Index); !strings.Contains(p.Error, want) {
-			t.Fatalf("quarantine error %q does not name %q", p.Error, want)
+	steps := d.Steps()
+	if len(steps) != 3 {
+		t.Fatalf("%d rounds, want 3", len(steps))
+	}
+	for i, s := range steps {
+		if s.Samples != (i+1)*cfg.BatchSize {
+			t.Fatalf("round %d ended with %d samples, want %d", i, s.Samples, (i+1)*cfg.BatchSize)
 		}
 	}
+	if got := oracle.evaluations(); got != len(d.Samples()) {
+		t.Fatalf("oracle evaluated %d points for %d samples", got, len(d.Samples()))
+	}
+	seen := map[int]bool{}
 	for _, idx := range d.Samples() {
-		if idx%11 == 0 {
-			t.Fatalf("NaN-producing point %d entered the training pool", idx)
+		if seen[idx] {
+			t.Fatalf("point %d sampled twice", idx)
 		}
+		seen[idx] = true
+	}
+}
+
+// TestDriverVarianceSelectionNearExhaustion drives SelectVariance into
+// the regime where the drawable complement (space minus simulated minus
+// Exclude-reserved points) is smaller than a batch: the driver must
+// neither hang in the candidate draw nor panic in the top-n selection,
+// must drain every drawable point, and must never sample an excluded
+// one.
+func TestDriverVarianceSelectionNearExhaustion(t *testing.T) {
+	sp := synthSpace()
+	var exclude []int
+	for i := 0; i < sp.Size(); i += 3 {
+		exclude = append(exclude, i)
+	}
+	cfg := exploreCfg(core.SelectVariance)
+	cfg.BatchSize = 25
+	cfg.MaxSamples = sp.Size() // more than is drawable
+	cfg.Exclude = exclude
+	d, err := New(sp, synth(sp), Config{ExploreConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, drawable := len(d.Samples()), sp.Size()-len(exclude); got != drawable {
+		t.Fatalf("sampled %d points, want the full drawable complement %d", got, drawable)
+	}
+	for _, idx := range d.Samples() {
+		if idx%3 == 0 {
+			t.Fatalf("excluded point %d was sampled", idx)
+		}
+	}
+}
+
+func TestDriverStepBeyondSpaceIsBounded(t *testing.T) {
+	sp := synthSpace()
+	cfg := exploreCfg(core.SelectRandom)
+	cfg.BatchSize, cfg.MaxSamples = sp.Size(), sp.Size()
+	d, err := New(sp, synth(sp), Config{ExploreConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Step(context.Background(), sp.Size()+50); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(d.Samples()); got != sp.Size() {
+		t.Fatalf("grew to %d of %d points", got, sp.Size())
+	}
+}
+
+func TestDriverAcceptsConsistentMultiTargetWidths(t *testing.T) {
+	sp := synthSpace()
+	d, err := New(sp, dual(sp), Config{ExploreConfig: exploreCfg(core.SelectRandom)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if q := d.Quarantined(); len(q) != 0 {
+		t.Fatalf("consistent two-metric replies quarantined: %v", q)
+	}
+	if got := d.Ensemble().Outputs(); got != 2 {
+		t.Fatalf("multi-target run produced %d outputs, want 2", got)
 	}
 }
 

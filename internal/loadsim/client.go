@@ -173,9 +173,8 @@ func classifyTransportErr(err error) Outcome {
 }
 
 // ServerTotals are the server-side cumulative counters the timeline
-// attributes to buckets as deltas. Scraped from GET /metrics
-// (Prometheus text exposition); CoalesceTotals fills the coalescer pair
-// from /v1/stats for servers that predate the endpoint.
+// attributes to buckets as deltas, scraped from GET /metrics
+// (Prometheus text exposition).
 type ServerTotals struct {
 	CoalReqs       int64 // single-point requests answered by coalescers
 	CoalFlushes    int64 // kernel calls spent answering them
@@ -196,10 +195,11 @@ var metricFamilies = map[string]func(*ServerTotals, float64){
 }
 
 // MetricsTotals scrapes GET /metrics on every target and sums the
-// counter families the harness grades. ok reports whether at least one
-// target exposed the endpoint — when false the caller should fall back
-// to CoalesceTotals (older servers).
-func (c *Client) MetricsTotals(ctx context.Context) (totals ServerTotals, ok bool) {
+// counter families the harness grades. A target that fails to answer
+// contributes zero (counters are best-effort garnish, not load), so a
+// target without the endpoint yields zero totals, as SkipStats does.
+func (c *Client) MetricsTotals(ctx context.Context) ServerTotals {
+	var totals ServerTotals
 	for _, t := range c.targets {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, t+"/metrics", nil)
 		if err != nil {
@@ -215,9 +215,8 @@ func (c *Client) MetricsTotals(ctx context.Context) (totals ServerTotals, ok boo
 			continue
 		}
 		parsePromText(string(raw), &totals)
-		ok = true
 	}
-	return totals, ok
+	return totals
 }
 
 // parsePromText folds one Prometheus text document into totals. Only
@@ -248,39 +247,4 @@ func parsePromText(doc string, totals *ServerTotals) {
 		}
 		add(totals, v)
 	}
-}
-
-// statsResponse is the slice of /v1/stats the timeline needs.
-type statsResponse struct {
-	Models map[string]struct {
-		Requests int64 `json:"requests"`
-		Flushes  int64 `json:"flushes"`
-	} `json:"models"`
-}
-
-// CoalesceTotals sums coalescer counters across every target; nodes
-// that fail to answer contribute zero (stats are best-effort garnish,
-// not load).
-func (c *Client) CoalesceTotals(ctx context.Context) (requests, flushes int64) {
-	for _, t := range c.targets {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, t+"/v1/stats", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := c.httpc.Do(req)
-		if err != nil {
-			continue
-		}
-		var doc statsResponse
-		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&doc)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		for _, m := range doc.Models {
-			requests += m.Requests
-			flushes += m.Flushes
-		}
-	}
-	return requests, flushes
 }

@@ -59,7 +59,7 @@ func TestTimelineDeterminismAgainstRealServer(t *testing.T) {
 		t.Fatalf("latency percentiles look wrong: %+v", r1.Summary)
 	}
 	if r1.Summary.Coalesce < 1 {
-		t.Fatalf("coalesce_batch %g < 1; /v1/stats deltas not flowing", r1.Summary.Coalesce)
+		t.Fatalf("coalesce_batch %g < 1; /metrics deltas not flowing", r1.Summary.Coalesce)
 	}
 	// The full CSV carries measurements the stripped one must not.
 	if f1 == s1 {

@@ -121,7 +121,7 @@ func newHardenedTarget(t testing.TB, cacheEntries int) string {
 
 // TestRunnerScrapesMetricsForCacheHit soaks a real cache-enabled serve
 // node under a zipf-skewed predict mix and checks that the summary's
-// cache_hit metric — scraped from GET /metrics, not /v1/stats — sees
+// cache_hit metric — scraped from GET /metrics — sees
 // the hot keys landing in the cache, and that the SLO gate the CI soak
 // uses can ride on it.
 func TestRunnerScrapesMetricsForCacheHit(t *testing.T) {
@@ -170,8 +170,8 @@ func TestRunnerScrapesMetricsForCacheHit(t *testing.T) {
 
 // TestMetricsTotalsFallback checks both sides of the counter-polling
 // contract: against a /metrics-speaking node MetricsTotals reports
-// every family, and against a stats-only stub it reports ok=false so
-// the runner downgrades to /v1/stats.
+// every family, and a target without the endpoint yields zero totals,
+// exactly as SkipStats does.
 func TestMetricsTotalsFallback(t *testing.T) {
 	target := newHardenedTarget(t, 64)
 	c, err := NewClient([]string{target}, "synth", nil)
@@ -184,10 +184,7 @@ func TestMetricsTotalsFallback(t *testing.T) {
 			t.Fatalf("predict %d: outcome %v", i, o)
 		}
 	}
-	totals, ok := c.MetricsTotals(context.Background())
-	if !ok {
-		t.Fatal("MetricsTotals found no /metrics endpoint on a hardened node")
-	}
+	totals := c.MetricsTotals(context.Background())
 	if totals.CacheHits != 1 || totals.CacheMisses != 1 {
 		t.Fatalf("cache counters %+v, want 1 hit / 1 miss", totals)
 	}
@@ -200,8 +197,8 @@ func TestMetricsTotalsFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc.MetricsTotals(context.Background()); ok {
-		t.Fatal("MetricsTotals claimed a stats-only stub exposes /metrics")
+	if got := sc.MetricsTotals(context.Background()); got != (ServerTotals{}) {
+		t.Fatalf("a target without /metrics yielded totals %+v, want zero", got)
 	}
 }
 

@@ -175,13 +175,13 @@ func (c *predCache) put(k cacheKey, v cacheVal) {
 }
 
 // CacheStats is the cache's observable state, exported through
-// /v1/stats and /metrics.
+// /metrics.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Entries   int
+	Capacity  int
 }
 
 func (c *predCache) stats() CacheStats {

@@ -118,8 +118,8 @@ type admission struct {
 type RateLimitStats struct {
 	// RejectedRate counts 429s from per-client token buckets,
 	// RejectedInflight 429s from the bounded in-flight budget.
-	RejectedRate     int64 `json:"rejected_rate"`
-	RejectedInflight int64 `json:"rejected_inflight"`
+	RejectedRate     int64
+	RejectedInflight int64
 }
 
 // SetAdmission configures overload policy: rate requests/second per
@@ -132,8 +132,8 @@ func (s *Server) SetAdmission(rate float64, burst, maxInflight int) {
 }
 
 // gatedPath reports whether admission control applies to path: the
-// model-work endpoints. Observability (/healthz, /v1/stats, /metrics,
-// /v1/models, /v1/jobs) and reload stay exempt, so a saturated server
+// model-work endpoints. Observability (/healthz, /metrics, /v1/models,
+// /v1/jobs) and reload stay exempt, so a saturated server
 // can still be watched, diagnosed, and rolled.
 func gatedPath(path string) bool {
 	switch {

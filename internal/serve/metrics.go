@@ -12,8 +12,8 @@ import (
 // serve tier's production observability surface: request and latency
 // histograms, coalesce batch sizes, cache hit counters, rate-limit
 // rejections, and per-model counters, in one scrape. The load harness
-// (internal/loadsim) consumes it in place of /v1/stats delta polling,
-// and any standard Prometheus scraper can too.
+// (internal/loadsim) polls it for counter deltas, and any standard
+// Prometheus scraper can too.
 //
 // Everything here reads atomics written on the request path; a scrape
 // takes no locks the hot path contends on. Output ordering is fully

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -85,6 +86,47 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if samples[`repro_http_request_duration_seconds_bucket{le="+Inf"}`] < 3 {
 		t.Error("latency histogram missed requests")
+	}
+}
+
+// TestMetricsCountsTraffic drives a few requests through an uncached
+// server and checks the counter deltas a load harness polls from
+// /metrics: total requests, error classes and the per-model coalescer
+// tallies.
+func TestMetricsCountsTraffic(t *testing.T) {
+	ts, _, _ := newTestServer(t, CoalesceOpts{})
+	total := func(s map[string]float64) float64 {
+		return s[`repro_http_requests_total{class="ok"}`] + s[`repro_http_requests_total{class="4xx"}`] +
+			s[`repro_http_requests_total{class="5xx"}`]
+	}
+	_, before := scrape(t, ts.URL)
+
+	// Three predictions and one client error.
+	const predictions = 3
+	for i := 0; i < predictions; i++ {
+		if resp, _ := postJSON(t, ts.URL+"/v1/predict", fmt.Sprintf(`{"model":"synth","point":%d}`, i)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if resp, _ := postJSON(t, ts.URL+"/v1/predict", `{"model":"nope","point":0}`); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown model: status %d, want 404", resp.StatusCode)
+	}
+
+	_, after := scrape(t, ts.URL)
+	// The second scrape counts itself: 3 predicts + 1 error + 1 scrape.
+	if got := total(after) - total(before); got != predictions+2 {
+		t.Fatalf("request delta %v, want %d", got, predictions+2)
+	}
+	if got := after[`repro_http_requests_total{class="4xx"}`] - before[`repro_http_requests_total{class="4xx"}`]; got != 1 {
+		t.Fatalf("client error delta %v, want 1", got)
+	}
+	if after[`repro_http_requests_total{class="5xx"}`] != before[`repro_http_requests_total{class="5xx"}`] {
+		t.Fatal("server errors moved")
+	}
+	reqs := after[`repro_model_requests_total{model="synth"}`]
+	flushes := after[`repro_model_flushes_total{model="synth"}`]
+	if reqs < predictions || flushes == 0 || flushes > reqs {
+		t.Fatalf("coalescer counters implausible: %v requests, %v flushes", reqs, flushes)
 	}
 }
 

@@ -5,7 +5,6 @@
 //
 //	GET  /healthz           liveness and model count
 //	GET  /metrics           Prometheus text exposition (latency/cache/coalesce/ratelimit)
-//	GET  /v1/stats          request/in-flight/error/coalescing counters (for load harnesses)
 //	GET  /v1/models         loaded models with provenance and accuracy estimates
 //	POST /v1/predict        one design point → prediction (+ member variance)
 //	POST /v1/predict/batch  many design points → predictions, one batched call
@@ -116,7 +115,6 @@ func NewWithJobs(reg *Registry, jobs *JobStore) *Server {
 	s := &Server{reg: reg, jobs: jobs, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/models", s.handleModels)
 	s.mux.HandleFunc("POST /v1/models/{alias}/reload", s.handleReload)
 	s.mux.HandleFunc("POST /v1/predict", s.handlePredict)
@@ -147,7 +145,7 @@ func (s *Server) SetDefaultKernel(mode ann.KernelMode) {
 }
 
 // ServeHTTP implements http.Handler. Every request passes through the
-// stats counters (see stats.go), so /v1/stats reflects all traffic.
+// request counters (see stats.go), so /metrics reflects all traffic.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.countRequest(w, r)
 }

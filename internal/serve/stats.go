@@ -5,37 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// ServerStats is the /v1/stats document: lightweight counters a load
-// harness (internal/loadsim) polls to report server-side efficiency
-// alongside client-side latency. Everything here is atomically
-// maintained; the endpoint costs one JSON encode, no locks on the
-// request path.
-type ServerStats struct {
-	// Requests counts every HTTP request served (including /v1/stats
-	// itself).
-	Requests int64 `json:"requests"`
-	// InFlight is the number of requests currently being handled.
-	InFlight int64 `json:"in_flight"`
-	// ClientErrors counts 4xx responses, ServerErrors 5xx.
-	ClientErrors int64 `json:"client_errors"`
-	ServerErrors int64 `json:"server_errors"`
-	// Models maps each registered model to its coalescer counters:
-	// single-point requests answered and the batched flushes that
-	// answered them — requests/flushes is the mean coalesced batch size.
-	Models map[string]CoalesceStats `json:"models"`
-	// Cache is the exact prediction cache's counters (all zero when
-	// caching is off), RateLimit the admission-control rejections.
-	// /metrics exports the same numbers; /v1/stats keeps carrying them
-	// for older pollers (see the migration note in the README).
-	Cache     CacheStats     `json:"cache"`
-	RateLimit RateLimitStats `json:"rate_limit"`
-	// Jobs is the number of jobs the store has accepted (0 with no job
-	// store), JobsActive how many are queued or running right now.
-	Jobs       int `json:"jobs"`
-	JobsActive int `json:"jobs_active"`
-}
-
-// counters is the server's atomic tally.
+// counters is the server's atomic request tally, exported by
+// GET /metrics.
 type counters struct {
 	requests     atomic.Int64
 	inFlight     atomic.Int64
@@ -77,38 +48,4 @@ func (s *Server) countRequest(w http.ResponseWriter, r *http.Request) {
 	case rec.status >= 400:
 		s.ctr.clientErrors.Add(1)
 	}
-}
-
-// Stats snapshots the server's counters.
-func (s *Server) Stats() ServerStats {
-	st := ServerStats{
-		Requests:     s.ctr.requests.Load(),
-		InFlight:     s.ctr.inFlight.Load(),
-		ClientErrors: s.ctr.clientErrors.Load(),
-		ServerErrors: s.ctr.serverErrors.Load(),
-		Models:       map[string]CoalesceStats{},
-		Cache:        s.reg.CacheStats(),
-		RateLimit:    s.adm.stats(),
-	}
-	for _, name := range s.reg.Names() {
-		m, err := s.reg.Get(name)
-		if err != nil {
-			continue
-		}
-		st.Models[m.Name] = m.Stats()
-	}
-	if s.jobs != nil {
-		infos := s.jobs.List()
-		st.Jobs = len(infos)
-		for _, info := range infos {
-			if info.Status == JobQueued || info.Status == JobRunning {
-				st.JobsActive++
-			}
-		}
-	}
-	return st
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }
