@@ -297,6 +297,29 @@ func TestDriverStopsAtErrorTarget(t *testing.T) {
 	}
 }
 
+// TestDriverSequentialStopsAtErrorTarget pins the strict §3.3 stop:
+// with speculation off, an immediately met target costs exactly one
+// batch of simulations.
+func TestDriverSequentialStopsAtErrorTarget(t *testing.T) {
+	cfg := exploreCfg(core.SelectRandom)
+	cfg.TargetMeanErr = 1e9 // stop after the first round
+	sp := synthSpace()
+	oracle := &synthOracle{sp: sp}
+	d, err := New(sp, oracle, Config{ExploreConfig: cfg, Pipeline: Pipeline{Workers: -1, Sequential: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(d.Samples()); got != cfg.BatchSize {
+		t.Fatalf("driver recorded %d samples despite an immediately met target", got)
+	}
+	if got := oracle.evaluations(); got != cfg.BatchSize {
+		t.Fatalf("sequential run simulated %d points, want exactly one batch of %d", got, cfg.BatchSize)
+	}
+}
+
 func TestDriverQuarantinesFailingPoints(t *testing.T) {
 	sp := synthSpace()
 	// Points divisible by 7 fail on every attempt.
@@ -436,6 +459,45 @@ func TestDriverMalformedTargetsQuarantineNotAbort(t *testing.T) {
 	}
 }
 
+// TestDriverStepRejectsMalformedBatch makes every reply of a later
+// step break the oracle contract: the step must quarantine the whole
+// batch, naming each point, and record none of it.
+func TestDriverStepRejectsMalformedBatch(t *testing.T) {
+	sp := synthSpace()
+	cfg := exploreCfg(core.SelectRandom)
+	cfg.MaxSamples = sp.Size()
+	for _, mode := range []string{"short", "empty", "nan", "inf", "width"} {
+		t.Run(mode, func(t *testing.T) {
+			var failAll bool
+			oracle := malformedOracle(sp, mode, func(int) bool { return failAll })
+			d, err := New(sp, oracle, Config{ExploreConfig: cfg, Pipeline: Pipeline{Retries: -1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if err := d.Step(ctx, 10); err != nil {
+				t.Fatal(err)
+			}
+			failAll = true
+			if err := d.Step(ctx, 10); err != nil {
+				t.Fatalf("%s batch must be quarantined, not fail the step: %v", mode, err)
+			}
+			if got := len(d.Samples()); got != 10 {
+				t.Fatalf("%d samples after a rejected batch, want the first step's 10", got)
+			}
+			q := d.Quarantined()
+			if len(q) != 10 {
+				t.Fatalf("%d points quarantined, want the whole 10-point batch", len(q))
+			}
+			for _, p := range q {
+				if want := fmt.Sprintf("design point %d", p.Index); !strings.Contains(p.Error, want) {
+					t.Fatalf("quarantine error %q does not name %q", p.Error, want)
+				}
+			}
+		})
+	}
+}
+
 func TestDriverRunsIncrementally(t *testing.T) {
 	sp := synthSpace()
 	oracle := &synthOracle{sp: sp}
@@ -466,6 +528,28 @@ func TestDriverRunsIncrementally(t *testing.T) {
 			t.Fatalf("point %d sampled twice", idx)
 		}
 		seen[idx] = true
+	}
+}
+
+func TestDriverRespectsExclusions(t *testing.T) {
+	sp := synthSpace()
+	cfg := exploreCfg(core.SelectRandom)
+	cfg.BatchSize, cfg.MaxSamples = 30, 90
+	cfg.Exclude = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	d, err := New(sp, synth(sp), Config{ExploreConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(d.Samples()); got != cfg.MaxSamples {
+		t.Fatalf("sampled %d points, want the full budget %d", got, cfg.MaxSamples)
+	}
+	for _, idx := range d.Samples() {
+		if idx < 10 {
+			t.Fatalf("excluded point %d was sampled", idx)
+		}
 	}
 }
 
