@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -124,15 +125,36 @@ func canonJSON(t *testing.T, res *sweep.Result) []byte {
 	return buf
 }
 
+// wireCheck wraps a node and counts shard exchanges that break the one
+// wire format: a request that is not JSON, or a response that is not
+// the binary frame. Used where every shard is expected to succeed.
+func wireCheck(exchanges, bad *atomic.Int64) func(http.Handler) http.Handler {
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r)
+			if r.URL.Path != "/v1/sweep/shard" {
+				return
+			}
+			exchanges.Add(1)
+			if r.Header.Get("Content-Type") != "application/json" ||
+				w.Header().Get("Content-Type") != serve.ShardResponseMediaType {
+				bad.Add(1)
+			}
+		})
+	}
+}
+
 // TestClusterMatchesSingleProcess is the tentpole guarantee: a
 // coordinated sweep over 1, 2 and 3 nodes produces byte-identical
-// JSON to the in-process sweep.Run.
+// JSON to the in-process sweep.Run. Every shard request is JSON and
+// every 200 carries the binary response frame.
 func TestClusterMatchesSingleProcess(t *testing.T) {
 	want := canonJSON(t, localRun(t, 5, 8))
 	for _, n := range []int{1, 2, 3} {
+		var exchanges, bad atomic.Int64
 		var nodes []string
 		for i := 0; i < n; i++ {
-			nodes = append(nodes, newNode(t, nil).URL)
+			nodes = append(nodes, newNode(t, wireCheck(&exchanges, &bad)).URL)
 		}
 		var progress []int
 		coord, err := New(Config{
@@ -163,17 +185,11 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 		if res.PointsPerSec <= 0 || res.Elapsed <= 0 {
 			t.Fatalf("nodes=%d: missing throughput stamp", n)
 		}
+		if exchanges.Load() == 0 || bad.Load() != 0 {
+			t.Fatalf("nodes=%d: %d of %d shard exchanges broke the wire format (JSON request, %s 200)",
+				n, bad.Load(), exchanges.Load(), serve.ShardResponseMediaType)
+		}
 	}
-}
-
-// legacyNode simulates a node that predates the binary shard format:
-// it strips the Accept header, so the embedded server never answers
-// binary and the coordinator must stay on the JSON path for it.
-func legacyNode(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Del("Accept")
-		h.ServeHTTP(w, r)
-	})
 }
 
 // localKernelRun is localRun with an explicit kernel tier.
@@ -192,18 +208,13 @@ func localKernelRun(t *testing.T, topk, chunk int, mode ann.KernelMode) *sweep.R
 	return res
 }
 
-// TestClusterMixedModeKernelSweep is the mixed-deployment smoke test:
-// a fast32 sweep over one binary-capable node and one legacy
-// JSON-only node must (a) negotiate per node — binary flips on for
-// the capable node only — and (b) still merge byte-identically to the
-// single-process fast32 run, because the kernel tier and the wire
-// format are orthogonal to the reduction's bits.
-func TestClusterMixedModeKernelSweep(t *testing.T) {
+// TestClusterFast32MatchesLocal: a fast32 sweep over two nodes merges
+// byte-identically to the single-process fast32 run, because the
+// kernel tier is orthogonal to the reduction's bits.
+func TestClusterFast32MatchesLocal(t *testing.T) {
 	want := canonJSON(t, localKernelRun(t, 5, 8, ann.KernelFast32))
-	modern := newNode(t, nil)
-	legacy := newNode(t, legacyNode)
 	coord, err := New(Config{
-		Nodes:       []string{modern.URL, legacy.URL},
+		Nodes:       []string{newNode(t, nil).URL, newNode(t, nil).URL},
 		Request:     serve.SweepRequest{Model: "synth", TopK: 5, Chunk: 8, Kernel: "fast32"},
 		ShardPoints: 16,
 		Logf:        t.Logf,
@@ -216,16 +227,10 @@ func TestClusterMixedModeKernelSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := canonJSON(t, res); !bytes.Equal(got, want) {
-		t.Fatalf("mixed-mode fast32 cluster diverged from local run\ngot  %s\ngot  %s", got, want)
+		t.Fatalf("fast32 cluster diverged from local run\ngot  %s\nwant %s", got, want)
 	}
 	if res.Kernel != ann.KernelFast32.String() {
 		t.Fatalf("result kernel %q, want fast32", res.Kernel)
-	}
-	if !coord.binaryOK[0].Load() {
-		t.Error("binary-capable node never upgraded to the binary wire format")
-	}
-	if coord.binaryOK[1].Load() {
-		t.Error("legacy node must stay on the JSON path")
 	}
 }
 
@@ -309,6 +314,91 @@ func TestClusterSurvivesNodeFailure(t *testing.T) {
 		if calls.Load() < 2 {
 			t.Fatalf("mode=%s: flaky node saw %d shard calls; the failure path never ran", mode, calls.Load())
 		}
+	}
+}
+
+// staleNode wraps a serve handler so every shard 200 goes out as the
+// JSON document a node from before the one-format protocol sent:
+// {"partial":...,"elapsed":...,"pointsPerSec":...}. onAnswer, when
+// non-nil, runs after each such answer.
+func staleNode(onAnswer func()) func(http.Handler) http.Handler {
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/sweep/shard" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			var doc serve.ShardResponse
+			if rec.Code != http.StatusOK || doc.UnmarshalBinary(rec.Body.Bytes()) != nil {
+				http.Error(w, "stale node: unexpected inner answer", http.StatusInternalServerError)
+				return
+			}
+			body, err := json.Marshal(map[string]any{"partial": doc.Partial, "elapsed": 1, "pointsPerSec": doc.PointsPerSec})
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(body)
+			if onAnswer != nil {
+				onAnswer()
+			}
+		})
+	}
+}
+
+// TestClusterStrikesUndecodableResponse: a node answering 200 with a
+// body that is not a response frame — a JSON shard document, as a node
+// from an older release sends — is a node failure, not a rejection.
+// The node is struck and retired, the log names it, and the sweep
+// still matches the single-process run on the healthy node.
+func TestClusterStrikesUndecodableResponse(t *testing.T) {
+	want := canonJSON(t, localRun(t, 5, 8))
+	answered := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(answered) }) }
+	stale := newNode(t, staleNode(release))
+	healthy := newNode(t, holdAfterFirst(answered))
+	t.Cleanup(release) // runs before the nodes close: never strand a held shard
+	var mu sync.Mutex
+	var logs []string
+	coord, err := New(Config{
+		Nodes:        []string{healthy.URL, stale.URL},
+		Request:      serve.SweepRequest{Model: "synth", TopK: 5, Chunk: 8},
+		ShardPoints:  16,
+		InFlight:     1,
+		NodeFailures: 1,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+			t.Logf(format, args...)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Run(context.Background())
+	if err != nil {
+		t.Fatalf("sweep failed despite a healthy node: %v", err)
+	}
+	if got := canonJSON(t, res); !bytes.Equal(got, want) {
+		t.Fatalf("result diverged\ngot  %s\nwant %s", got, want)
+	}
+	var struck, retired bool
+	for _, line := range logs {
+		if strings.Contains(line, "failed on "+stale.URL) && strings.Contains(line, "undecodable") &&
+			strings.Contains(line, `"application/json"`) {
+			struck = true
+		}
+		if strings.Contains(line, "retiring node "+stale.URL) {
+			retired = true
+		}
+	}
+	if !struck || !retired {
+		t.Fatalf("stale node %s struck=%v retired=%v; log:\n%s", stale.URL, struck, retired, strings.Join(logs, "\n"))
 	}
 }
 

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/sweep"
@@ -21,13 +19,12 @@ type ShardRequest struct {
 
 // ShardResponse carries one computed shard back to the coordinator:
 // the deterministic partial reduction, plus this node's measured
-// throughput — the signal coordinators use to weight shard dispatch.
-// Elapsed and PointsPerSec are the only fields that vary between
-// bit-identical runs.
+// throughput — the signal coordinators use to weight shard dispatch,
+// and the only field that varies between bit-identical runs. It
+// travels only as the binary frame (see wire.go).
 type ShardResponse struct {
-	Partial      *sweep.Partial `json:"partial"`
-	Elapsed      time.Duration  `json:"elapsed"`
-	PointsPerSec float64        `json:"pointsPerSec"`
+	Partial      *sweep.Partial
+	PointsPerSec float64
 }
 
 // handleSweepShard runs one shard synchronously — unlike /v1/sweep it
@@ -36,23 +33,12 @@ type ShardResponse struct {
 // request), whatever node answers; a disconnect cancels the engine via
 // the request context.
 //
-// Requests and responses speak JSON by default and the compact binary
-// format by negotiation (see wire.go): a binary Content-Type selects
-// the binary request decoder, and an Accept header offering
-// ShardResponseMediaType gets the binary response body. Errors are
-// JSON on every path.
+// The request is JSON; a 200 is always the binary ShardResponse frame
+// (ShardResponseMediaType), whatever the Accept header says. Errors
+// are JSON.
 func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ShardRequestMediaType) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-		if err == nil {
-			err = req.UnmarshalBinary(body)
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-			return
-		}
-	} else if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -78,21 +64,16 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	elapsed := time.Since(start)
-	resp := ShardResponse{Partial: p, Elapsed: elapsed}
-	if secs := elapsed.Seconds(); secs > 0 {
+	resp := ShardResponse{Partial: p}
+	if secs := time.Since(start).Seconds(); secs > 0 {
 		resp.PointsPerSec = float64(p.End-p.Start) / secs
 	}
-	if acceptsShardBinary(r.Header.Get("Accept")) {
-		data, err := resp.MarshalBinary()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		w.Header().Set("Content-Type", ShardResponseMediaType)
-		w.WriteHeader(http.StatusOK)
-		w.Write(data)
+	data, err := resp.MarshalBinary()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", ShardResponseMediaType)
+	w.WriteHeader(http.StatusOK)
+	w.Write(data)
 }

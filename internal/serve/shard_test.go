@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -12,8 +13,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// postShard submits one shard request and decodes the response,
-// returning the HTTP status and (on 200) the shard document.
+// postShard submits one JSON shard request and decodes the response,
+// returning the HTTP status and (on 200) the binary shard frame.
 func postShard(t *testing.T, url string, req ShardRequest) (int, *ShardResponse, string) {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -34,8 +35,12 @@ func postShard(t *testing.T, url string, req ShardRequest) (int, *ShardResponse,
 		}
 		return resp.StatusCode, nil, e.Error
 	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out ShardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := out.UnmarshalBinary(raw); err != nil {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, &out, ""

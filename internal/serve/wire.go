@@ -2,107 +2,34 @@ package serve
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"repro/internal/sweep"
 )
 
-// Binary wire format for shard traffic. Coordination overhead on a
-// sweep cluster is dominated by serializing the shard partials —
-// textual float64s are ~24 bytes each versus 8 raw bits — so both
-// sides of /v1/sweep/shard can negotiate the compact encoding:
+// Wire format of /v1/sweep/shard. Each direction has exactly one
+// format, so nothing is negotiated:
 //
-//   - The coordinator always sends its FIRST request to a node as
-//     JSON, with an Accept header offering ShardResponseMediaType.
-//   - A binary-capable node answers with the binary response body
-//     (Content-Type: ShardResponseMediaType); an old node ignores the
-//     Accept header and answers JSON as before.
-//   - Once the coordinator has seen one binary response from a node it
-//     upgrades subsequent requests to binary bodies
-//     (Content-Type: ShardRequestMediaType) — by construction the node
-//     has already proven it speaks the format.
+//   - Requests are JSON (a ShardRequest), decoded like every other
+//     endpoint's body: size-limited, unknown fields rejected.
+//   - A 200 response is always the binary frame below, labelled
+//     ShardResponseMediaType, whatever the Accept header says. Shard
+//     partials dominate coordination cost — textual float64s are ~24
+//     bytes each versus 8 raw bits — so this is where binary pays.
+//   - Errors are JSON, like every other endpoint's.
 //
-// Old coordinators never send the Accept header, old nodes never see a
-// binary request, and error responses stay JSON on every path, so the
-// formats interoperate freely during rolling upgrades.
+// The frame is magic "RSR2", the node's points/s as raw float64 bits,
+// then the partial's own binary encoding (sweep.Partial.MarshalBinary)
+// to the end of the frame. A coordinator and its nodes must run the
+// same release: a frame from another version fails the magic check.
 const (
-	// ShardRequestMediaType is the Content-Type of a binary
-	// ShardRequest body.
-	ShardRequestMediaType = "application/x-repro-shard-request"
 	// ShardResponseMediaType is the Content-Type of a binary
 	// ShardResponse body.
 	ShardResponseMediaType = "application/x-repro-shard-response"
+	// shardResponseMagic tags (and versions) the response frame.
+	shardResponseMagic = "RSR2"
 )
 
-// Magic tags versioning the two frames.
-const (
-	shardRequestMagic  = "RSQ1"
-	shardResponseMagic = "RSR1"
-)
-
-// MarshalBinary encodes the shard request in the compact wire format:
-// magic, the sweep request fields in declaration order (lists
-// length-prefixed), then the shard range.
-func (r *ShardRequest) MarshalBinary() ([]byte, error) {
-	w := &sweep.WireWriter{}
-	w.Raw([]byte(shardRequestMagic))
-	w.Str(r.Model)
-	w.U32(uint32(len(r.Models)))
-	for _, m := range r.Models {
-		w.Str(m)
-	}
-	w.U32(uint32(len(r.Metrics)))
-	for _, s := range r.Metrics {
-		w.Str(s.Name)
-		w.Str(s.Model)
-		w.I64(int64(s.Output))
-		w.Bool(s.Variance)
-		w.Bool(s.Minimize)
-	}
-	w.I64(int64(r.TopK))
-	w.I64(int64(r.Chunk))
-	w.I64(int64(r.Workers))
-	w.Str(r.Kernel)
-	w.I64(int64(r.Start))
-	w.I64(int64(r.End))
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary decodes a binary shard request, validating structure
-// and rejecting trailing bytes.
-func (r *ShardRequest) UnmarshalBinary(data []byte) error {
-	rd := sweep.NewWireReader(data)
-	if magic := rd.Take(len(shardRequestMagic)); magic == nil || string(magic) != shardRequestMagic {
-		return fmt.Errorf("serve: not a binary shard request (bad magic/version)")
-	}
-	*r = ShardRequest{}
-	r.Model = rd.Str()
-	nModels := rd.Count(4)
-	for i := 0; i < nModels && rd.Err() == nil; i++ {
-		r.Models = append(r.Models, rd.Str())
-	}
-	nMetrics := rd.Count(18) // two ≥4-byte names + int64 + two bools
-	for i := 0; i < nMetrics && rd.Err() == nil; i++ {
-		r.Metrics = append(r.Metrics, sweep.MetricSpec{
-			Name:     rd.Str(),
-			Model:    rd.Str(),
-			Output:   int(rd.I64()),
-			Variance: rd.Bool(),
-			Minimize: rd.Bool(),
-		})
-	}
-	r.TopK = int(rd.I64())
-	r.Chunk = int(rd.I64())
-	r.Workers = int(rd.I64())
-	r.Kernel = rd.Str() // name validated later by SweepRequest.Validate
-	r.Start = int(rd.I64())
-	r.End = int(rd.I64())
-	return rd.Finish()
-}
-
-// MarshalBinary encodes the shard response: magic, the timing fields,
-// then the partial's own binary encoding to the end of the frame.
+// MarshalBinary encodes the shard response frame.
 func (r *ShardResponse) MarshalBinary() ([]byte, error) {
 	if r.Partial == nil {
 		return nil, fmt.Errorf("serve: binary shard response needs a partial")
@@ -112,22 +39,21 @@ func (r *ShardResponse) MarshalBinary() ([]byte, error) {
 		return nil, err
 	}
 	w := &sweep.WireWriter{}
-	w.Grow(len(shardResponseMagic) + 16 + len(p))
+	w.Grow(len(shardResponseMagic) + 8 + len(p))
 	w.Raw([]byte(shardResponseMagic))
-	w.I64(int64(r.Elapsed))
 	w.F64(r.PointsPerSec)
 	w.Raw(p)
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary decodes a binary shard response.
+// UnmarshalBinary decodes a shard response frame, rejecting a bad
+// magic, truncation and trailing bytes.
 func (r *ShardResponse) UnmarshalBinary(data []byte) error {
 	rd := sweep.NewWireReader(data)
 	if magic := rd.Take(len(shardResponseMagic)); magic == nil || string(magic) != shardResponseMagic {
 		return fmt.Errorf("serve: not a binary shard response (bad magic/version)")
 	}
 	*r = ShardResponse{}
-	r.Elapsed = time.Duration(rd.I64())
 	r.PointsPerSec = rd.F64()
 	rest := rd.Rest()
 	if err := rd.Err(); err != nil {
@@ -135,16 +61,4 @@ func (r *ShardResponse) UnmarshalBinary(data []byte) error {
 	}
 	r.Partial = &sweep.Partial{}
 	return r.Partial.UnmarshalBinary(rest)
-}
-
-// acceptsShardBinary reports whether the request's Accept header
-// offers the binary shard response format.
-func acceptsShardBinary(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(mt) == ShardResponseMediaType {
-			return true
-		}
-	}
-	return false
 }

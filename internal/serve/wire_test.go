@@ -2,67 +2,27 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 
 	"repro/internal/ann"
+	"repro/internal/bundle"
 	"repro/internal/sweep"
 )
 
-// TestShardRequestBinaryRoundTrip pins the request frame: every field
-// — including the kernel tier and metric specs — survives
-// Marshal∘Unmarshal exactly.
-func TestShardRequestBinaryRoundTrip(t *testing.T) {
-	cases := []ShardRequest{
-		{SweepRequest: SweepRequest{Model: "synth"}},
-		{SweepRequest: SweepRequest{Model: "synth", TopK: 7, Chunk: 64, Workers: 3, Kernel: "fast32"}, Start: 40, End: 104},
-		{SweepRequest: SweepRequest{
-			Models: []string{"perf", "energy"},
-			Metrics: []sweep.MetricSpec{
-				{Name: "ipc", Model: "perf"},
-				{Name: "conf", Model: "perf", Output: 2, Variance: true, Minimize: true},
-			},
-			TopK:   -1,
-			Kernel: "fast",
-		}},
-	}
-	for i, req := range cases {
-		data, err := req.MarshalBinary()
-		if err != nil {
-			t.Fatalf("case %d: marshal: %v", i, err)
-		}
-		var got ShardRequest
-		if err := got.UnmarshalBinary(data); err != nil {
-			t.Fatalf("case %d: unmarshal: %v", i, err)
-		}
-		if !reflect.DeepEqual(req, got) {
-			t.Fatalf("case %d: round trip changed the request:\nwant %+v\ngot  %+v", i, req, got)
-		}
-		// Truncation at every byte must error, never panic or succeed.
-		for n := 0; n < len(data); n++ {
-			if err := got.UnmarshalBinary(data[:n]); err == nil {
-				t.Fatalf("case %d: truncation to %d of %d bytes decoded", i, n, len(data))
-			}
-		}
-		if err := got.UnmarshalBinary(append(append([]byte(nil), data...), 0)); err == nil {
-			t.Fatalf("case %d: trailing byte decoded", i)
-		}
-	}
-}
-
-// postShardRaw sends one shard request with explicit wire options and
-// returns the response Content-Type and body.
-func postShardRaw(t *testing.T, url string, body []byte, contentType, accept string) (string, []byte) {
+// postShardRaw sends one JSON shard request, with an optional Accept
+// header, and returns the response Content-Type and body.
+func postShardRaw(t *testing.T, url string, body []byte, accept string) (string, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url+"/v1/sweep/shard", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/json")
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
@@ -106,9 +66,9 @@ func TestServerDefaultKernel(t *testing.T) {
 		{`{"model":"synth","topk":3,"chunk":16,"kernel":"exact"}`, ""},
 		{`{"model":"synth","topk":3,"chunk":16,"kernel":"fast32"}`, ann.KernelFast32.String()},
 	} {
-		_, raw := postShardRaw(t, ts.URL, []byte(tc.body), "application/json", "")
+		_, raw := postShardRaw(t, ts.URL, []byte(tc.body), "")
 		var resp ShardResponse
-		if err := json.Unmarshal(raw, &resp); err != nil {
+		if err := resp.UnmarshalBinary(raw); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Partial.Kernel != tc.want {
@@ -117,63 +77,55 @@ func TestServerDefaultKernel(t *testing.T) {
 	}
 }
 
-// TestShardBinaryNegotiation drives the wire negotiation end to end
-// against a live server: the JSON path, the binary-response upgrade,
-// and the fully binary exchange must all carry the identical partial —
-// and a fast32 request's partial must be labelled fast32.
-func TestShardBinaryNegotiation(t *testing.T) {
-	ts, _, _ := newTestServer(t, CoalesceOpts{})
-	req := ShardRequest{SweepRequest: SweepRequest{Model: "synth", TopK: 5, Chunk: 16, Kernel: "fast32"}}
-	jsonBody, err := json.Marshal(req)
+// TestShardResponseBinary drives the one shard wire format against a
+// live server: a 200 is the binary frame whatever the Accept header
+// says, its partial is byte-identical to the in-process RunPartial
+// over the same range on the exact and fast32 tiers, and a truncated
+// or overlong frame never decodes.
+func TestShardResponseBinary(t *testing.T) {
+	ts, _, b := newTestServer(t, CoalesceOpts{})
+	set, sp, err := sweep.Resolve(sweep.DefaultSpecs([]string{"synth"}),
+		map[string]*bundle.Bundle{"synth": b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	binBody, err := req.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Plain JSON exchange (an old coordinator).
-	ct, raw := postShardRaw(t, ts.URL, jsonBody, "application/json", "")
-	if ct != "application/json" {
-		t.Fatalf("JSON request answered Content-Type %q", ct)
-	}
-	var viaJSON ShardResponse
-	if err := json.Unmarshal(raw, &viaJSON); err != nil {
-		t.Fatal(err)
-	}
-	if viaJSON.Partial.Kernel != ann.KernelFast32.String() {
-		t.Fatalf("partial kernel %q, want fast32", viaJSON.Partial.Kernel)
-	}
-
-	// JSON request offering the binary response (a coordinator's first
-	// contact with a node), then the fully binary exchange.
-	for _, tc := range []struct {
-		name string
-		body []byte
-		ct   string
-	}{
-		{"upgrade", jsonBody, "application/json"},
-		{"binary", binBody, ShardRequestMediaType},
-	} {
-		ct, raw := postShardRaw(t, ts.URL, tc.body, tc.ct, ShardResponseMediaType+", application/json")
-		if ct != ShardResponseMediaType {
-			t.Fatalf("%s: response Content-Type %q, want binary", tc.name, ct)
+	start, end := 16, sp.Size()-5
+	for _, mode := range []ann.KernelMode{ann.KernelExact, ann.KernelFast32} {
+		req := ShardRequest{
+			SweepRequest: SweepRequest{Model: "synth", TopK: 5, Chunk: 16, Kernel: mode.String()},
+			Start:        start,
+			End:          end,
 		}
-		var got ShardResponse
-		if err := got.UnmarshalBinary(raw); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want, _ := json.Marshal(viaJSON.Partial)
-		have, _ := json.Marshal(got.Partial)
-		if !bytes.Equal(want, have) {
-			t.Fatalf("%s: binary partial diverged from JSON path:\nwant %s\ngot  %s", tc.name, want, have)
+		local, err := sweep.RunPartial(context.Background(), sp, set,
+			sweep.Config{TopK: 5, ChunkSize: 16, Kernel: mode, Start: start, End: end})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Truncations of the response frame must error cleanly.
-		var scratch ShardResponse
-		for n := 0; n < len(raw); n += 7 {
-			if err := scratch.UnmarshalBinary(raw[:n]); err == nil {
-				t.Fatalf("%s: truncation to %d of %d bytes decoded", tc.name, n, len(raw))
+		want, _ := json.Marshal(local)
+		for _, accept := range []string{"", "application/json"} {
+			ct, raw := postShardRaw(t, ts.URL, body, accept)
+			if ct != ShardResponseMediaType {
+				t.Fatalf("%s, Accept %q: response Content-Type %q, want %q", mode, accept, ct, ShardResponseMediaType)
+			}
+			var got ShardResponse
+			if err := got.UnmarshalBinary(raw); err != nil {
+				t.Fatalf("%s, Accept %q: %v", mode, accept, err)
+			}
+			if have, _ := json.Marshal(got.Partial); !bytes.Equal(want, have) {
+				t.Fatalf("%s, Accept %q: served partial diverged from RunPartial:\nwant %s\ngot  %s", mode, accept, want, have)
+			}
+			var cut ShardResponse
+			for n := 0; n < len(raw); n += 7 {
+				if err := cut.UnmarshalBinary(raw[:n]); err == nil {
+					t.Fatalf("%s: truncation to %d of %d bytes decoded", mode, n, len(raw))
+				}
+			}
+			if err := cut.UnmarshalBinary(append(append([]byte(nil), raw...), 0)); err == nil {
+				t.Fatalf("%s: trailing byte decoded", mode)
 			}
 		}
 	}

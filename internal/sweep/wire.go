@@ -6,11 +6,10 @@ import (
 	"math"
 )
 
-// Binary wire format for Partial — the compact encoding distributed
-// sweeps ship between serve nodes and coordinators. JSON stays the
-// compatibility format (and round-trips float64 bit for bit), but on
-// wide frontiers the textual floats dominate coordination cost; the
-// binary form writes each value as its 8 raw IEEE-754 bits instead.
+// Binary wire format for Partial — the encoding a serve node's shard
+// response carries back to the coordinator. On wide frontiers textual
+// floats would dominate coordination cost; the binary form writes each
+// value as its 8 raw IEEE-754 bits instead.
 //
 // Layout (all integers little-endian, strings and lists
 // length-prefixed with uint32 counts):
@@ -28,11 +27,11 @@ import (
 // length-prefixed, so decoding is a single validated pass; the decoder
 // rejects truncated input, counts that exceed the remaining payload,
 // and trailing bytes. Bit-identity is trivial: float bits pass through
-// untouched, so Marshal∘Unmarshal is the identity on the merge algebra
-// exactly like the JSON path.
+// untouched, so Marshal∘Unmarshal is the identity on the merge algebra.
 //
 // The WireWriter/WireReader primitives are exported so the serve layer
-// can frame shard requests and responses in the same vocabulary.
+// can frame the shard response around the partial in the same
+// vocabulary.
 
 // partialMagic tags (and versions) the binary Partial encoding.
 const partialMagic = "RPP1"
