@@ -341,27 +341,34 @@ func benchTrainingSet(st *studies.Study, n int) (x, y [][]float64) {
 	return x, y
 }
 
-// BenchmarkTrainEnsemble measures 10-fold ensemble training with the
-// cross-validation folds trained sequentially (Workers=1) versus on the
-// full worker pool. Fold seeds are configuration-derived, so both
-// settings produce identical ensembles; on a machine with k ≥ 4 cores
-// the parallel case approaches a k-fold speedup (folds are
-// embarrassingly parallel).
+// BenchmarkTrainEnsemble measures 10-fold ensemble training. The two
+// short-schedule cases (60 epochs, patience 20) train the folds
+// sequentially (Workers=1) and on the full worker pool; fold seeds are
+// configuration-derived, so both produce identical ensembles. Folds
+// are independent, but parallel training does not approach a k-fold
+// speedup: the ten early-stopped folds run for unequal numbers of
+// epochs, so one worker is left with the last long fold while the
+// others idle (measured 1.69x on 2 cores). The production-schedule case
+// runs DefaultTrainOpts (1200 epochs, patience 120) on one worker, so
+// the per-example SGD step dominates as it does in an exploration
+// round; BENCH_train.json gates it.
 func BenchmarkTrainEnsemble(b *testing.B) {
 	st := studies.Processor()
 	x, y := benchTrainingSet(st, 200)
-	cfg := benchModel()
-	cfg.Train.MaxEpochs = 60
-	cfg.Train.Patience = 20
+	short := benchModel()
+	short.Train.MaxEpochs = 60
+	short.Train.Patience = 20
 	for _, bc := range []struct {
 		name    string
+		cfg     core.ModelConfig
 		workers int
 	}{
-		{"sequential-folds", 1},
-		{"parallel-folds", 0}, // 0 = GOMAXPROCS
+		{"sequential-folds", short, 1},
+		{"parallel-folds", short, 0}, // 0 = GOMAXPROCS
+		{"production-schedule", core.DefaultModelConfig(), 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			c := cfg
+			c := bc.cfg
 			c.Workers = bc.workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -370,6 +377,7 @@ func BenchmarkTrainEnsemble(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ensembles/s")
 		})
 	}
 }

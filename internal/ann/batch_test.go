@@ -79,166 +79,6 @@ func TestForwardBatchNilScratch(t *testing.T) {
 	}
 }
 
-// TestTrainBatchSingleRowMatchesTrain: a one-row TrainBatch must
-// perform the same update as the per-example Train (the batch update
-// degenerates to Equation 3.1/3.2 exactly).
-func TestTrainBatchSingleRowMatchesTrain(t *testing.T) {
-	rng := stats.NewRNG(0x7B41)
-	a := randomNetwork(t, rng, 6, []int{8}, 2, Sigmoid, Linear)
-	b := a.Clone()
-	scratch := NewScratch()
-	x := make([]float64, 6)
-	y := make([]float64, 2)
-	for step := 0; step < 25; step++ {
-		for i := range x {
-			x[i] = rng.Range(-1, 1)
-		}
-		for i := range y {
-			y[i] = rng.Range(-1, 1)
-		}
-		seA := a.Train(x, y, 0.05)
-		seB := b.TrainBatch(x, y, 1, 0.05, scratch)
-		if math.Abs(seA-seB) > 1e-12*(1+math.Abs(seA)) {
-			t.Fatalf("step %d: Train error %v vs TrainBatch %v", step, seA, seB)
-		}
-		for i := range a.w {
-			if math.Abs(a.w[i]-b.w[i]) > 1e-12*(1+math.Abs(a.w[i])) {
-				t.Fatalf("step %d: weight %d diverged: %v vs %v", step, i, a.w[i], b.w[i])
-			}
-		}
-	}
-}
-
-// TestTrainBatchGradient verifies the batched backward pass against
-// numerical differentiation of the batch loss on every weight.
-func TestTrainBatchGradient(t *testing.T) {
-	rng := stats.NewRNG(0x96AD)
-	cfg := Config{
-		Inputs: 3, Hidden: []int{5}, Outputs: 2,
-		HiddenAct: Sigmoid, OutputAct: Linear,
-		LearningRate: 1, Momentum: 0, InitRange: 0.5, Seed: 17,
-	}
-	n := New(cfg)
-	const rows = 6
-	xs := make([]float64, rows*3)
-	ys := make([]float64, rows*2)
-	for i := range xs {
-		xs[i] = rng.Range(-1, 1)
-	}
-	for i := range ys {
-		ys[i] = rng.Range(-1, 1)
-	}
-
-	// Batch loss: mean over rows of Σ(o−t)²/2.
-	loss := func() float64 {
-		out := n.ForwardBatch(xs, rows, nil, KernelExact)
-		var se float64
-		for k, o := range out {
-			e := o - ys[k]
-			se += e * e
-		}
-		return se / 2 / rows
-	}
-
-	const eps, lr = 1e-6, 1e-6
-	for wi := range n.w {
-		orig := n.w[wi]
-		n.w[wi] = orig + eps
-		up := loss()
-		n.w[wi] = orig - eps
-		down := loss()
-		n.w[wi] = orig
-		numeric := (up - down) / (2 * eps)
-
-		snap := n.Snapshot()
-		n.TrainBatch(xs, ys, rows, lr, nil)
-		analytic := -(n.w[wi] - snap[layerOf(n, wi)][wi-n.layers[layerOf(n, wi)].off]) / lr
-		n.Restore(snap)
-
-		if math.Abs(numeric-analytic) > 1e-3*(1+math.Abs(numeric)) {
-			t.Fatalf("weight %d: numeric %.8f vs batched backprop %.8f", wi, numeric, analytic)
-		}
-	}
-}
-
-// layerOf maps a flat weight index to its layer index.
-func layerOf(n *Network, wi int) int {
-	for li := len(n.layers) - 1; li >= 0; li-- {
-		if wi >= n.layers[li].off {
-			return li
-		}
-	}
-	return 0
-}
-
-// TestTrainBatchLearnsLinearFunction: mini-batch training must still
-// fit an easy target.
-func TestTrainBatchLearnsLinearFunction(t *testing.T) {
-	n := New(Config{
-		Inputs: 2, Hidden: []int{8}, Outputs: 1,
-		HiddenAct: Sigmoid, OutputAct: Linear,
-		LearningRate: 0.2, Momentum: 0.5, InitRange: 0.1, Seed: 7,
-	})
-	rng := stats.NewRNG(5)
-	const rows = 8
-	xs := make([]float64, rows*2)
-	ys := make([]float64, rows)
-	scratch := NewScratch()
-	for epoch := 0; epoch < 2500; epoch++ {
-		for r := 0; r < rows; r++ {
-			a, b := rng.Float64(), rng.Float64()
-			xs[r*2], xs[r*2+1] = a, b
-			ys[r] = 0.3*a + 0.5*b
-		}
-		n.TrainBatch(xs, ys, rows, 0.2, scratch)
-	}
-	var worst float64
-	for i := 0; i < 50; i++ {
-		a, b := rng.Float64(), rng.Float64()
-		got := n.forward([]float64{a, b})[0]
-		if d := math.Abs(got - (0.3*a + 0.5*b)); d > worst {
-			worst = d
-		}
-	}
-	if worst > 0.05 {
-		t.Fatalf("mini-batch linear fit worst error %v", worst)
-	}
-}
-
-// TestTrainEarlyStoppingMiniBatch: the BatchSize option must train to
-// a comparable ES error and report a sane result.
-func TestTrainEarlyStoppingMiniBatch(t *testing.T) {
-	rng := stats.NewRNG(0x3B17)
-	mkData := func(n int) *Dataset {
-		d := &Dataset{}
-		for i := 0; i < n; i++ {
-			a, b := rng.Float64(), rng.Float64()
-			v := 0.4 + 0.4*a + 0.2*b
-			d.Append([]float64{a, b}, []float64{v}, v)
-		}
-		return d
-	}
-	train, es := mkData(80), mkData(20)
-	cfg := Config{
-		Inputs: 2, Hidden: []int{8}, Outputs: 1,
-		HiddenAct: Sigmoid, OutputAct: Linear,
-		LearningRate: 0.2, Momentum: 0.5, InitRange: 0.1, Seed: 3,
-	}
-	opts := TrainOpts{MaxEpochs: 400, Patience: 60, LRDecay: 0.999, BatchSize: 8, Seed: 9}
-	n := New(cfg)
-	res, err := TrainEarlyStopping(n, train, es, identityUnscaler{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestESErr > 5 {
-		t.Fatalf("mini-batch early stopping ended at %v%% ES error", res.BestESErr)
-	}
-}
-
-type identityUnscaler struct{}
-
-func (identityUnscaler) Unscale(v float64) float64 { return v }
-
 // TestPerExampleTrainingUnchangedByPacking: the flat-packed training
 // path must reproduce the seed implementation's exact weight sequence —
 // same presentation order, same updates — for per-example SGD. We pin
@@ -263,11 +103,11 @@ func TestPerExampleTrainingDeterministic(t *testing.T) {
 	}
 	opts := TrainOpts{MaxEpochs: 50, Patience: 50, LRDecay: 1, Seed: 21}
 	a, b := New(cfg), New(cfg)
-	ra, err := TrainEarlyStopping(a, train, es, identityUnscaler{}, opts)
+	ra, err := TrainEarlyStopping(a, train, es, identityScaler{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := TrainEarlyStopping(b, train, es, identityUnscaler{}, opts)
+	rb, err := TrainEarlyStopping(b, train, es, identityScaler{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

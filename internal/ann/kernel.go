@@ -162,7 +162,7 @@ func (n *Network) ForwardBatch(xs []float64, rows int, s *Scratch, mode KernelMo
 	case KernelFast32:
 		return n.forwardBatch32(xs, rows, s)
 	case KernelFast:
-		s.ensure(n, rows, false)
+		s.ensure(n, rows)
 		in := xs
 		for li, l := range n.layers {
 			l.forwardBatchFast(in, rows, s.acts[li])

@@ -7,10 +7,12 @@
 // stopping on a held-aside set.
 //
 // All weights of a network live in one contiguous []float64 (layer
-// after layer, row-major within a layer), and the batched entry points
-// — ForwardBatch (kernel.go), TrainBatch and the Scratch buffers they
-// reuse (batch.go) — run many examples through that flat layout at once. This is
-// the compute core the rest of the repository leans on: the ensemble's
+// after layer, row-major within a layer). Training is per-example
+// stochastic gradient descent (Train), one example at a time as in the
+// paper. Scoring goes through the batched entry point ForwardBatch
+// (kernel.go) and the Scratch buffers it reuses (batch.go), which run
+// many examples through the flat layout at once. This is the compute
+// core the rest of the repository leans on: the ensemble's
 // candidate-pool scoring and full-space sweeps go through ForwardBatch
 // rather than per-point calls.
 //
@@ -175,8 +177,9 @@ type layer struct {
 	dwPrev  []float64 // view into Network.dwPrev (momentum term)
 	act     Activation
 
-	// Per-example forward/backward scratch (the batched paths use a
-	// caller-provided Scratch instead, so they can run concurrently).
+	// Per-example forward/backward scratch (the batched forward path
+	// uses a caller-provided Scratch instead, so it can run
+	// concurrently).
 	output []float64
 	delta  []float64
 }
@@ -250,17 +253,43 @@ func (n *Network) Config() Config { return n.cfg }
 // biases).
 func (n *Network) NumWeights() int { return len(n.w) }
 
+// forward computes this layer's activations for one example. Four
+// units are summed side by side, so four independent accumulation
+// chains share each input load; each unit's sum still starts at its
+// bias and adds the inputs in index order, so every unit's result is
+// bit-identical to a one-unit-at-a-time loop. The activation runs once
+// over the whole layer through applyBatch.
 func (l *layer) forward(x []float64) []float64 {
 	stride := l.in + 1
-	for j := 0; j < l.out; j++ {
+	x = x[:l.in]
+	out := l.output[:l.out]
+	j := 0
+	for ; j+4 <= len(out); j += 4 {
+		r0 := l.w[(j+0)*stride : (j+0)*stride+stride]
+		r1 := l.w[(j+1)*stride : (j+1)*stride+stride]
+		r2 := l.w[(j+2)*stride : (j+2)*stride+stride]
+		r3 := l.w[(j+3)*stride : (j+3)*stride+stride]
+		r0, r1, r2, r3 = r0[:len(x)+1], r1[:len(x)+1], r2[:len(x)+1], r3[:len(x)+1]
+		s0, s1, s2, s3 := r0[len(x)], r1[len(x)], r2[len(x)], r3[len(x)] // biases
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(out); j++ {
 		row := l.w[j*stride : j*stride+stride]
-		sum := row[l.in] // bias
+		row = row[:len(x)+1]
+		sum := row[len(x)] // bias
 		for i, xi := range x {
 			sum += row[i] * xi
 		}
-		l.output[j] = l.act.apply(sum)
+		out[j] = sum
 	}
-	return l.output
+	l.act.applyBatch(out)
+	return out
 }
 
 // forward runs one example through the network and returns the output
@@ -293,10 +322,10 @@ func (n *Network) Train(x, target []float64, lr float64) float64 {
 	// Output-layer deltas: δ = (o - t) · f'(o).
 	last := n.layers[len(n.layers)-1]
 	var se float64
-	for j := 0; j < last.out; j++ {
-		e := out[j] - target[j]
+	for j, o := range out {
+		e := o - target[j]
 		se += e * e
-		last.delta[j] = e * last.act.derivFromOutput(out[j])
+		last.delta[j] = e * last.act.derivFromOutput(o)
 	}
 
 	// Hidden-layer deltas, back to front.
@@ -316,22 +345,55 @@ func (n *Network) Train(x, target []float64, lr float64) float64 {
 	mom := n.cfg.Momentum
 	input := x
 	for _, l := range n.layers {
-		stride := l.in + 1
-		for j := 0; j < l.out; j++ {
-			base := j * stride
-			d := l.delta[j]
-			for i := 0; i < l.in; i++ {
-				dw := -lr*d*input[i] + mom*l.dwPrev[base+i]
-				l.w[base+i] += dw
-				l.dwPrev[base+i] = dw
-			}
-			dw := -lr*d + mom*l.dwPrev[base+l.in] // bias input is 1
-			l.w[base+l.in] += dw
-			l.dwPrev[base+l.in] = dw
-		}
+		l.update(input, lr, mom)
 		input = l.output
 	}
 	return se / 2
+}
+
+// update applies one momentum step to this layer's weights from the
+// layer's input x and its deltas: Δw = -η·δ·x + α·Δw_prev, with the
+// bias input fixed at 1. Go evaluates -lr*d*x as (-lr*d)*x, so forming
+// g = -η·δ once per unit leaves every update bit-identical to the
+// textbook loop. Two units are updated side by side so each input load
+// feeds both, and the rows are re-sliced to the input length so the
+// inner loop runs without bounds checks.
+func (l *layer) update(x []float64, lr, mom float64) {
+	x = x[:l.in]
+	stride := len(x) + 1
+	w, prev := l.w, l.dwPrev[:len(l.w)]
+	deltas := l.delta[:l.out]
+	for ; len(deltas) >= 2; deltas = deltas[2:] {
+		g0, g1 := -lr*deltas[0], -lr*deltas[1]
+		w0, w1 := w[:stride], w[stride:2*stride]
+		p0, p1 := prev[:stride], prev[stride:2*stride]
+		w0, w1, p0, p1 = w0[:len(x)+1], w1[:len(x)+1], p0[:len(x)+1], p1[:len(x)+1]
+		for i, xi := range x {
+			d0 := g0*xi + mom*p0[i]
+			d1 := g1*xi + mom*p1[i]
+			w0[i] += d0
+			w1[i] += d1
+			p0[i], p1[i] = d0, d1
+		}
+		d0 := g0 + mom*p0[len(x)]
+		d1 := g1 + mom*p1[len(x)]
+		w0[len(x)] += d0
+		w1[len(x)] += d1
+		p0[len(x)], p1[len(x)] = d0, d1
+		w, prev = w[2*stride:], prev[2*stride:]
+	}
+	if len(deltas) == 1 {
+		g := -lr * deltas[0]
+		row, prow := w[:len(x)+1], prev[:len(x)+1]
+		for i, xi := range x {
+			dw := g*xi + mom*prow[i]
+			row[i] += dw
+			prow[i] = dw
+		}
+		dw := g + mom*prow[len(x)]
+		row[len(x)] += dw
+		prow[len(x)] = dw
+	}
 }
 
 // Snapshot returns a deep copy of all weights, used by early stopping

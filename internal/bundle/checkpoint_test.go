@@ -112,6 +112,28 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointLoadsRetiredBatchSize: checkpoints written while
+// ann.TrainOpts still carried the mini-batch BatchSize knob load with
+// the field ignored, and resume with the same configuration.
+func TestCheckpointLoadsRetiredBatchSize(t *testing.T) {
+	cp := trainedCheckpoint(t)
+	var buf bytes.Buffer
+	if err := cp.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.ReplaceAll(buf.Bytes(), []byte(`"MaxEpochs":`), []byte(`"BatchSize":0,"MaxEpochs":`))
+	if bytes.Equal(old, buf.Bytes()) {
+		t.Fatal("saved checkpoint has no training options to patch")
+	}
+	got, err := LoadCheckpoint(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Config, cp.Config) {
+		t.Fatalf("config changed loading the retired field: %+v vs %+v", got.Config, cp.Config)
+	}
+}
+
 func TestCheckpointWriteFileAtomicRoundTrip(t *testing.T) {
 	cp := trainedCheckpoint(t)
 	path := filepath.Join(t.TempDir(), "run.checkpoint")
