@@ -62,6 +62,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/space"
 	"repro/internal/studies"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -205,11 +206,14 @@ func pprofHandler() http.Handler {
 
 // simBackend resolves exploration requests onto the compiled-in studies
 // and the cycle-level simulator — the same oracle cmd/dsexplore drives.
+// It runs at submission: an unknown study or app is an error naming the
+// request field, and the app's trace is generated (and cached) here, so
+// the job's simulations never meet an unknown application.
 func simBackend(defaultInsts int) serve.Backend {
 	return func(req serve.ExploreRequest) (*space.Space, core.Oracle, bundle.Meta, error) {
 		study, err := studies.ByName(req.Study)
 		if err != nil {
-			return nil, nil, bundle.Meta{}, err
+			return nil, nil, bundle.Meta{}, fmt.Errorf("study: %w", err)
 		}
 		if req.App == "" {
 			return nil, nil, bundle.Meta{}, fmt.Errorf("job needs an \"app\" (benchmark) to simulate")
@@ -217,6 +221,9 @@ func simBackend(defaultInsts int) serve.Backend {
 		traceLen := req.TraceLen
 		if traceLen <= 0 {
 			traceLen = defaultInsts
+		}
+		if _, err := workload.Lookup(req.App, traceLen); err != nil {
+			return nil, nil, bundle.Meta{}, fmt.Errorf("app: %w", err)
 		}
 		// Acquisition objectives over out1/out2 need the simulator's
 		// multi-task targets; plain jobs keep the cheaper IPC column.

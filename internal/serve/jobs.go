@@ -22,8 +22,8 @@ type ExploreRequest struct {
 	// under; it is reserved for the job's lifetime.
 	Name string `json:"name"`
 	// Study and App select the oracle (resolved by the server's
-	// Backend); TraceLen is instructions per simulation (0 = backend
-	// default).
+	// Backend at submission); TraceLen is instructions per simulation
+	// (0 = backend default, at most MaxTraceLen).
 	Study    string `json:"study"`
 	App      string `json:"app"`
 	TraceLen int    `json:"traceLen,omitempty"`
@@ -48,10 +48,41 @@ type ExploreRequest struct {
 	Retries int `json:"retries,omitempty"`
 }
 
+// MaxTraceLen bounds ExploreRequest.TraceLen. A trace instruction takes
+// 40 bytes, so the largest trace a request can ask for is 40 MB.
+const MaxTraceLen = 1_000_000
+
+// Validate checks the request's own fields; the Backend checks the
+// study and app when Submit resolves the request.
+func (r ExploreRequest) Validate() error {
+	if r.Name == "" {
+		return fmt.Errorf("serve: job needs a model name to register under")
+	}
+	if r.Budget <= 0 {
+		return fmt.Errorf("serve: job needs a positive simulation budget")
+	}
+	if r.Batch < 0 || r.Batch > r.Budget {
+		return fmt.Errorf("serve: batch %d outside (0, budget=%d]", r.Batch, r.Budget)
+	}
+	if r.TraceLen < 0 || r.TraceLen > MaxTraceLen {
+		return fmt.Errorf("serve: traceLen %d outside [0, %d]", r.TraceLen, MaxTraceLen)
+	}
+	if r.Acquire != "" {
+		// Reject malformed specs at submission, not rounds later when
+		// the first acquisition-driven batch would be drawn.
+		if _, err := core.ParseAcquireSpec(r.Acquire); err != nil {
+			return fmt.Errorf("serve: acquire: %w", err)
+		}
+	}
+	return nil
+}
+
 // Backend resolves an exploration request into the design space and
 // oracle it runs against. cmd/serve wires the cycle-level simulator in;
 // tests wire synthetic oracles. The returned meta records provenance
-// for the registered bundle.
+// for the registered bundle. Submit calls it before queueing the job,
+// so it must reject an unknown study or app with an error naming the
+// field, and must be cheap enough to run on the request path.
 type Backend func(req ExploreRequest) (*space.Space, core.Oracle, bundle.Meta, error)
 
 // JobStatus is the lifecycle of an asynchronous job.
@@ -233,28 +264,22 @@ func NewJobStore(reg *Registry, backend Backend, concurrency, queueCap int, copt
 	return s
 }
 
-// Submit validates, enqueues and returns a new exploration job. The
-// model name is reserved immediately, so two concurrent submissions
-// cannot race for one registry slot.
+// Submit validates the request, resolves it through the Backend, then
+// enqueues and returns a new exploration job. A request the Backend
+// cannot resolve (an unknown study or app) is rejected here rather
+// than failing, or panicking, once a worker runs it. The model name is
+// reserved immediately, so two concurrent submissions cannot race for
+// one registry slot.
 func (s *JobStore) Submit(req ExploreRequest) (JobInfo, error) {
-	if req.Name == "" {
-		return JobInfo{}, fmt.Errorf("serve: job needs a model name to register under")
+	if err := req.Validate(); err != nil {
+		return JobInfo{}, err
 	}
-	if req.Budget <= 0 {
-		return JobInfo{}, fmt.Errorf("serve: job needs a positive simulation budget")
-	}
-	if req.Batch < 0 || req.Batch > req.Budget {
-		return JobInfo{}, fmt.Errorf("serve: batch %d outside (0, budget=%d]", req.Batch, req.Budget)
-	}
-	if req.Acquire != "" {
-		// Reject malformed specs at submission, not rounds later when
-		// the first acquisition-driven batch would be drawn.
-		if _, err := core.ParseAcquireSpec(req.Acquire); err != nil {
-			return JobInfo{}, fmt.Errorf("serve: %w", err)
-		}
+	sp, oracle, meta, err := s.backend(req)
+	if err != nil {
+		return JobInfo{}, fmt.Errorf("serve: %w", err)
 	}
 	return s.enqueue(JobKindExplore, req, req.Name, func(ctx context.Context, job *Job) (any, error) {
-		return nil, s.runExplore(ctx, job, req)
+		return nil, s.runExplore(ctx, job, req, sp, oracle, meta)
 	})
 }
 
@@ -457,10 +482,11 @@ func (s *JobStore) run(job *Job) {
 	job.status = JobDone
 }
 
-// runExplore is an exploration job's exec: backend resolution, the
-// exploration driver, and registration of the finished bundle.
-func (s *JobStore) runExplore(ctx context.Context, job *Job, req ExploreRequest) error {
-	ens, d, meta, err := s.explore(ctx, job, req)
+// runExplore is an exploration job's exec: the exploration driver over
+// the resolved space and oracle, and registration of the finished
+// bundle.
+func (s *JobStore) runExplore(ctx context.Context, job *Job, req ExploreRequest, sp *space.Space, oracle core.Oracle, meta bundle.Meta) error {
+	ens, d, meta, err := s.explore(ctx, job, req, sp, oracle, meta)
 	if d != nil {
 		job.mu.Lock()
 		job.quarantined = len(d.Quarantined())
@@ -477,11 +503,7 @@ func (s *JobStore) runExplore(ctx context.Context, job *Job, req ExploreRequest)
 }
 
 // explore builds and runs the driver for one exploration job.
-func (s *JobStore) explore(ctx context.Context, job *Job, req ExploreRequest) (*core.Ensemble, *explore.Driver, bundle.Meta, error) {
-	sp, oracle, meta, err := s.backend(req)
-	if err != nil {
-		return nil, nil, meta, err
-	}
+func (s *JobStore) explore(ctx context.Context, job *Job, req ExploreRequest, sp *space.Space, oracle core.Oracle, meta bundle.Meta) (*core.Ensemble, *explore.Driver, bundle.Meta, error) {
 	batch := req.Batch
 	if batch == 0 {
 		batch = 50

@@ -146,20 +146,34 @@ var traceCache sync.Map // key string -> *Trace
 
 // Get returns the trace for the named application at the given dynamic
 // length, generating and caching it on first use. It panics if the
-// application name is unknown (the set of applications is the fixed
-// benchmark suite; a typo is a programming error, not an input error).
+// application name is unknown or the length negative: it is for
+// programmer-supplied names (the set of applications is the fixed
+// benchmark suite, so a typo is a programming error). Names that come
+// from a request go through Lookup.
 func Get(app string, length int) *Trace {
-	key := fmt.Sprintf("%s/%d", app, length)
-	if v, ok := traceCache.Load(key); ok {
-		return v.(*Trace)
+	t, err := Lookup(app, length)
+	if err != nil {
+		panic(err)
 	}
+	return t
+}
+
+// Lookup is Get for untrusted input: it returns an error for an
+// unknown application or a negative length instead of panicking.
+func Lookup(app string, length int) (*Trace, error) {
 	p, ok := profiles[app]
 	if !ok {
-		panic(fmt.Sprintf("workload: unknown application %q (have %v)", app, Apps()))
+		return nil, fmt.Errorf("workload: unknown application %q (have %v)", app, Apps())
 	}
-	t := generate(p, length)
-	actual, _ := traceCache.LoadOrStore(key, t)
-	return actual.(*Trace)
+	if length < 0 {
+		return nil, fmt.Errorf("workload: negative trace length %d", length)
+	}
+	key := fmt.Sprintf("%s/%d", app, length)
+	if v, ok := traceCache.Load(key); ok {
+		return v.(*Trace), nil
+	}
+	actual, _ := traceCache.LoadOrStore(key, generate(p, length))
+	return actual.(*Trace), nil
 }
 
 // Apps returns the benchmark suite names in a stable order.

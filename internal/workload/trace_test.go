@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -62,6 +63,22 @@ func TestGetPanicsOnUnknownApp(t *testing.T) {
 		}
 	}()
 	Get("specint95", 1000)
+}
+
+func TestLookupRejectsBadInput(t *testing.T) {
+	if _, err := Lookup("specint95", 1000); err == nil || !strings.Contains(err.Error(), `"specint95"`) {
+		t.Fatalf("unknown app: err %v, want one naming the app", err)
+	}
+	if _, err := Lookup("mcf", -1); err == nil {
+		t.Fatal("negative length accepted")
+	}
+	tr, err := Lookup("mcf", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr != Get("mcf", 1000) {
+		t.Fatal("Lookup and Get returned different cached traces")
+	}
 }
 
 func TestTraceLength(t *testing.T) {
