@@ -345,10 +345,11 @@ func benchTrainingSet(st *studies.Study, n int) (x, y [][]float64) {
 // short-schedule cases (60 epochs, patience 20) train the folds
 // sequentially (Workers=1) and on the full worker pool; fold seeds are
 // configuration-derived, so both produce identical ensembles. Folds
-// are independent, but parallel training does not approach a k-fold
-// speedup: the ten early-stopped folds run for unequal numbers of
-// epochs, so one worker is left with the last long fold while the
-// others idle (measured 1.69x on 2 cores). The production-schedule case
+// are independent, but parallel training does not reach a k-fold
+// speedup on k cores: the ten early-stopped folds run for unequal
+// numbers of epochs, so the last long fold runs while other workers
+// idle, and the shortfall grows as k approaches the fold count
+// (measured 1.8-1.9x on 2 cores, AMD EPYC). The production-schedule case
 // runs DefaultTrainOpts (1200 epochs, patience 120) on one worker, so
 // the per-example SGD step dominates as it does in an exploration
 // round; BENCH_train.json gates it.

@@ -15,8 +15,10 @@ import (
 // skipUnlessGoldenArch skips a golden-bits test where the compiler may
 // fuse a multiply and an add into one instruction with one rounding:
 // every GOARCH but amd64, and amd64 built for GOAMD64=v3 or above. The
-// golden constants were recorded on plain amd64, where each floating-
-// point operation rounds on its own.
+// golden constants were recorded on plain amd64, where each Go
+// floating-point operation rounds on its own. (math.Exp's amd64
+// assembly picks its FMA path from the CPU, so they also assume an
+// AVX+FMA host, as every current x86-64 CI and benchmark machine is.)
 func skipUnlessGoldenArch(t *testing.T) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {

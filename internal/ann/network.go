@@ -58,6 +58,8 @@ func (a Activation) String() string {
 	return fmt.Sprintf("activation(%d)", uint8(a))
 }
 
+// apply is the scalar definition of the activation. The network's
+// forward paths run applyBatch; tests hold the two to the same bits.
 func (a Activation) apply(x float64) float64 {
 	switch a {
 	case Sigmoid:
@@ -75,8 +77,9 @@ func (a Activation) apply(x float64) float64 {
 }
 
 // applyBatch applies the activation to ys in place. Hoisting the
-// activation switch out of the unit loop matters on the batched hot
-// path; the per-element work is otherwise identical to apply.
+// activation switch out of the unit loop matters on both the batched
+// scoring path and the per-example training step; the per-element work
+// is otherwise identical to apply.
 func (a Activation) applyBatch(ys []float64) {
 	switch a {
 	case Sigmoid:
@@ -328,16 +331,23 @@ func (n *Network) Train(x, target []float64, lr float64) float64 {
 		last.delta[j] = e * last.act.derivFromOutput(o)
 	}
 
-	// Hidden-layer deltas, back to front.
+	// Hidden-layer deltas, back to front: δ_j = f'(o_j)·Σ_k w_kj·δ_k.
+	// Walking the next layer's weight rows in k order accumulates every
+	// δ_j from zero over the same k sequence as a per-unit sum, over
+	// contiguous rows.
 	for li := len(n.layers) - 2; li >= 0; li-- {
 		l, next := n.layers[li], n.layers[li+1]
 		stride := next.in + 1
-		for j := 0; j < l.out; j++ {
-			var sum float64
-			for k := 0; k < next.out; k++ {
-				sum += next.w[k*stride+j] * next.delta[k]
+		deltas := l.delta[:l.out]
+		clear(deltas)
+		for k, dk := range next.delta[:next.out] {
+			row := next.w[k*stride : k*stride+len(deltas)]
+			for j, w := range row {
+				deltas[j] += w * dk
 			}
-			l.delta[j] = sum * l.act.derivFromOutput(l.output[j])
+		}
+		for j, o := range l.output[:len(deltas)] {
+			deltas[j] *= l.act.derivFromOutput(o)
 		}
 	}
 
